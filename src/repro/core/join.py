@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..traces.power import PowerTrace
 from .attributes import PowerAttributes
 from .mergeability import MergePolicy
@@ -61,8 +63,7 @@ class _Group:
     heterogeneous members inflates the group's variance, which would make
     the t-tests progressively blind and let one group absorb everything.
     ``leader_index`` is the leader's position in the clustering input,
-    used by the matrix engine to look decisions up instead of recomputing
-    the tests.
+    which keys the row engine's cached decision row.
     """
 
     __slots__ = ("members", "leader", "leader_index", "data_dependent")
@@ -87,51 +88,52 @@ class _Group:
             self.data_dependent = True
 
 
-#: Below this many states the pairwise-matrix setup costs more than the
-#: handful of scalar tests it replaces.
-_MATRIX_MIN_STATES = 16
-
-
 def _cluster(
     states: Sequence[PowerState],
     policy: MergePolicy,
-    engine: str = "auto",
+    engine: str = "rows",
 ) -> List[_Group]:
     """Leader-based clustering followed by group merging to fixpoint.
 
     States are visited by decreasing sample count so group leaders carry
-    the most reliable statistics.  ``engine="matrix"`` evaluates every
-    pairwise mergeability decision up front as a compact decision table
-    over the deduplicated attribute triplets
+    the most reliable statistics.  Every comparison is a leader against
+    a candidate state or a candidate group's leader, and leaders are
+    always founding states' attributes, never pooled — so
+    ``engine="rows"`` decides them from one row per distinct leader
+    triplet, computed on first probe over all deduplicated candidate
+    triplets
     (:meth:`~repro.core.mergeability.MergePolicy.mergeability_lookup`)
-    and turns the greedy/fixpoint loops into table lookups — valid
-    because leaders are always founding states' attributes, never
-    pooled, so the precomputed table covers every comparison the scalar
-    engine makes.  ``engine="scalar"`` is the retained oracle;
-    ``"auto"`` picks the matrix for ``len(states) >= 16``.
+    and cached: ``G x U`` lanes for ``G`` groups and ``U`` distinct
+    triplets instead of the ``U x U`` table.  ``engine="scalar"`` is the
+    retained oracle.
     """
-    if engine == "auto":
-        engine = (
-            "matrix" if len(states) >= _MATRIX_MIN_STATES else "scalar"
-        )
-    if engine not in ("matrix", "scalar"):
+    if engine not in ("rows", "scalar"):
         raise ValueError(
-            f"unknown engine {engine!r}; use 'matrix', 'scalar' or 'auto'"
+            f"unknown engine {engine!r}; use 'rows' or 'scalar'"
         )
-    table = row_of = None
-    if engine == "matrix":
-        small, inverse = policy.mergeability_lookup(
+    if engine == "rows":
+        unique, inverse = policy.mergeability_lookup(
             [s.attributes for s in states]
         )
-        # Plain nested lists: the greedy loop probes single entries, and
-        # Python-level list indexing beats numpy scalar indexing there.
-        table = small.tolist()
         row_of = inverse.tolist()
+        candidates = np.arange(len(unique))
+        leader_rows: Dict[int, List[bool]] = {}
 
-    def decide(leader_of: _Group, index: int, attrs: PowerAttributes) -> bool:
-        if table is not None:
-            return table[row_of[leader_of.leader_index]][row_of[index]]
-        return policy.mergeable_attributes(leader_of.leader, attrs)
+        def decide(group: _Group, index: int, attrs: PowerAttributes) -> bool:
+            leader = row_of[group.leader_index]
+            row = leader_rows.get(leader)
+            if row is None:
+                # Plain lists: the loops probe single entries, and
+                # Python-level list indexing beats numpy scalar indexing.
+                row = leader_rows[leader] = policy._decide_lanes(
+                    unique, np.full(len(unique), leader), candidates
+                ).tolist()
+            return row[row_of[index]]
+
+    else:
+
+        def decide(group: _Group, index: int, attrs: PowerAttributes) -> bool:
+            return policy.mergeable_attributes(group.leader, attrs)
 
     order = sorted(range(len(states)), key=lambda k: -states[k].n)
     groups: List[_Group] = []
@@ -172,7 +174,7 @@ def join(
     psms: Sequence[PSM],
     power_traces: Mapping[int, PowerTrace],
     policy: Optional[MergePolicy] = None,
-    engine: str = "auto",
+    engine: str = "rows",
 ) -> List[PSM]:
     """Merge mergeable state sets across a PSM set.
 

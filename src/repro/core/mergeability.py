@@ -202,28 +202,19 @@ class MergePolicy:
     def mergeability_lookup(
         self, attrs: Sequence[PowerAttributes]
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Compact pairwise-decision table for a state set.
+        """Deduplicated ``(mu, sigma, n)`` triplets of a state set.
 
-        Returns ``(small, inverse)`` where ``small`` is the symmetric
-        boolean decision matrix over the *deduplicated* ``(mu, sigma, n)``
-        triplets and ``inverse[k]`` maps state ``k`` to its row, so that
-        ``small[inverse[i], inverse[j]] ==
-        self.mergeable_attributes(attrs[i], attrs[j])``.  On long tiled
-        traces thousands of states collapse onto a few distinct triplets,
-        shrinking the t-test matrices quadratically — and callers that
-        only probe a subset of pairs (the clustering loop) never pay for
-        the expanded ``len(attrs)^2`` matrix.
+        Returns ``(unique, inverse)`` where ``unique`` is a ``(U, 3)``
+        float array of the distinct triplets in first-seen order and
+        ``inverse[k]`` maps state ``k`` to its row.  On long tiled
+        traces thousands of states collapse onto a few distinct
+        triplets, so :meth:`_decide_lanes` only ever runs over ``U``
+        candidates.
         """
-        count = len(attrs)
-        if count == 0:
-            return (
-                np.zeros((0, 0), dtype=bool),
-                np.zeros(0, dtype=np.intp),
-            )
         # First-seen dedup via a dict: cheaper than np.unique(axis=0)
         # (no row sort) at every scale this is called at.
         index_of: dict = {}
-        inverse = np.zeros(count, dtype=np.intp)
+        inverse = np.zeros(len(attrs), dtype=np.intp)
         rows = []
         for k, a in enumerate(attrs):
             key = (a.mu, a.sigma, a.n)
@@ -232,57 +223,26 @@ class MergePolicy:
                 row = index_of[key] = len(rows)
                 rows.append(key)
             inverse[k] = row
-        unique = np.array(rows, dtype=np.float64)
-        return self._unique_mergeability_matrix(unique), inverse
+        unique = np.array(rows, dtype=np.float64).reshape(-1, 3)
+        return unique, inverse
 
-    def mergeability_matrix(
-        self, attrs: Sequence[PowerAttributes]
+    def _decide_lanes(
+        self, unique: np.ndarray, ia: np.ndarray, ib: np.ndarray
     ) -> np.ndarray:
-        """All pairwise :meth:`mergeable_attributes` decisions at once.
+        """Batched :meth:`mergeable_attributes` over explicit lanes.
 
-        Returns a symmetric boolean matrix ``M`` with
-        ``M[i, j] == self.mergeable_attributes(attrs[i], attrs[j])`` for
-        every pair, including the diagonal.  The Case 1/2/3 statistics are
-        evaluated as numpy vectors with the *same operation order* as the
-        scalar functions above (including ``x ** 2`` via
-        ``np.float_power``, which matches Python's ``**`` bit for bit
-        where ``np.square`` does not), so each entry is decided on
-        bit-identical intermediate values — the batched join engine is
-        provably equivalent to the scalar one.
+        Lane ``k`` decides ``mergeable_attributes(unique[ia[k]],
+        unique[ib[k]])`` in that operand order — which matters for the
+        F-test of two equal positive variances with different ``n``,
+        whose p-value depends on which side is ``a``.  The Case 1/2/3
+        statistics are evaluated as numpy vectors with the *same
+        operation order* as the scalar functions above (including
+        ``x ** 2`` via ``np.float_power``, which matches Python's ``**``
+        bit for bit where ``np.square`` does not), so every lane is
+        decided on bit-identical intermediate values.  Each case's
+        statistics run only on the compressed index set of lanes that
+        take that case, so ``betainc`` sees just the lanes that need it.
         """
-        small, inverse = self.mergeability_lookup(attrs)
-        if len(inverse) == 0:
-            return small
-        return small[np.ix_(inverse, inverse)]
-
-    #: Unique-triplet count below which filling the table with scalar
-    #: tests beats the fixed overhead of the vectorized lane kernel.
-    _SCALAR_MAX_UNIQUE = 6
-
-    def _unique_mergeability_matrix(self, unique: np.ndarray) -> np.ndarray:
-        """Pairwise decisions over deduplicated ``(mu, sigma, n)`` rows.
-
-        Every test is symmetric in its two operands (Welch's ``t`` only
-        flips sign, the F statistic is max/min-ordered, Case 1/3 compare
-        absolute gaps), so only the upper triangle is evaluated and each
-        case's statistics run on the compressed index set of lanes that
-        actually take that case — the expensive ``betainc`` evaluations
-        drop from three full grids to exactly the lanes that need them.
-        """
-        count = len(unique)
-        if count <= self._SCALAR_MAX_UNIQUE:
-            out = np.zeros((count, count), dtype=bool)
-            rows = [
-                PowerAttributes(mu=row[0], sigma=row[1], n=int(row[2]))
-                for row in unique
-            ]
-            for i in range(count):
-                for j in range(i, count):
-                    out[i, j] = out[j, i] = self.mergeable_attributes(
-                        rows[i], rows[j]
-                    )
-            return out
-
         mu = unique[:, 0]
         sigma = unique[:, 1]
         nf = unique[:, 2]
@@ -290,7 +250,7 @@ class MergePolicy:
 
         # "Low sigma" requirement, elementwise per unique row.
         if self.max_cv is None:
-            low = np.ones(count, dtype=bool)
+            low = np.ones(len(unique), dtype=bool)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = sigma / np.abs(mu)
@@ -305,14 +265,12 @@ class MergePolicy:
         with np.errstate(divide="ignore", invalid="ignore"):
             var = np.float_power(sigma, 2.0) * nf / (nf - 1.0)
 
-        # Upper-triangle lanes (diagonal included).
-        iu, ju = np.triu_indices(count)
-        mu_a, mu_b = mu[iu], mu[ju]
-        n_a, n_b = nf[iu], nf[ju]
-        var_a, var_b = var[iu], var[ju]
-        single_a, single_b = single[iu], single[ju]
+        mu_a, mu_b = mu[ia], mu[ib]
+        n_a, n_b = nf[ia], nf[ib]
+        var_a, var_b = var[ia], var[ib]
+        single_a, single_b = single[ia], single[ib]
         diff = mu_a - mu_b
-        merged = np.zeros(len(iu), dtype=bool)
+        merged = np.zeros(len(ia), dtype=bool)
 
         # Case 1: eps gap between two next-based (n == 1) states.
         c1 = np.nonzero(single_a & single_b)[0]
@@ -409,8 +367,5 @@ class MergePolicy:
                 )
             merged[mx] = p3 > self.alpha
 
-        merged &= low[iu] & low[ju]
-        out = np.zeros((count, count), dtype=bool)
-        out[iu, ju] = merged
-        out[ju, iu] = merged
-        return out
+        merged &= low[ia] & low[ib]
+        return merged

@@ -86,7 +86,7 @@ def micro_rows(
     ``mine``/``simplify`` run on the IP's short verification suite.
     ``generate``/``join`` run on a ``cycles``-instant *long synthetic
     training pair* — the short training behaviour tiled out to ``cycles``
-    instants — which is the regime the RLE generation and matrix join
+    instants — which is the regime the RLE generation and leader-row join
     engines target.  The labelling/simulation stages replay a fresh
     ``cycles``-instant long suite through the short-TS model, matching
     the paper's Table III setup.

@@ -439,6 +439,9 @@ class MicroBatcher:
         self._batch_ewma[model] = 0.7 * previous + 0.3 * wall
         for job, payload in zip(batch, results):
             payload["batch_size"] = len(batch)
+            # The bundle this batch actually ran: a hot swap may have
+            # reloaded the model since the request was queued.
+            payload["version"] = entry.version
             self._instants.inc(payload.get("instants", 0), model=model)
             if not job.future.done():  # the waiter may have timed out
                 job.future.set_result(payload)

@@ -224,14 +224,14 @@ class PsmServer:
         self._writers.add(writer)
         try:
             while True:
-                start = loop.time()
                 try:
                     method, path, query, content_type, body, keep = (
                         await read_request(reader)
                     )
                 except BadRequestError as exc:
                     await self._respond(
-                        writer, 400, {"error": str(exc)}, "other", start
+                        writer, 400, {"error": str(exc)}, "other",
+                        loop.time(),
                     )
                     return
                 except (
@@ -240,6 +240,9 @@ class PsmServer:
                     asyncio.LimitOverrunError,
                 ):
                     return  # client went away / closed between requests
+                # Timed from the parsed request, so keep-alive idle time
+                # waiting for it is not counted as request latency.
+                start = loop.time()
                 endpoint = _endpoint_label(method, path)
                 self._inflight += 1
                 self._idle.clear()
@@ -484,11 +487,9 @@ class PsmServer:
                     raise BadRequestError(
                         "binary trace carries no functional columns"
                     )
-                entry = self.registry.get(model)
                 submission = self.batcher.submit(model, npt_bytes=body)
             else:
                 model, trace_json = self._trace_json_from_request(data)
-                entry = self.registry.get(model)
                 submission = self.batcher.submit(model, trace_json)
             payload = await asyncio.wait_for(
                 submission,
@@ -520,12 +521,10 @@ class PsmServer:
         except (ExportSchemaError, ValueError, KeyError) as exc:
             # trace decode / simulation input errors surface here
             return 400, {"error": f"bad estimate input: {exc}"}, ()
-        payload = {
-            "model": model,
-            "version": entry.version,
-            **payload,
-        }
-        return 200, payload, ()
+        # Labelled with the version the batcher stamped from the bundle
+        # it ran, never from an earlier lookup a hot swap may outdate.
+        version = payload.pop("version")
+        return 200, {"model": model, "version": version, **payload}, ()
 
 
 def create_server(

@@ -203,13 +203,13 @@ def join_snapshot(psms):
 
 
 class TestJoinEngines:
-    """The matrix engine must reproduce the scalar oracle bit for bit."""
+    """The row engine must reproduce the scalar oracle bit for bit."""
 
     def test_engines_identical_on_shared_idle(self):
         p, psms, power = make_psms()
-        matrix = join_snapshot(join(psms, power, POLICY, engine="matrix"))
+        rows = join_snapshot(join(psms, power, POLICY, engine="rows"))
         scalar = join_snapshot(join(psms, power, POLICY, engine="scalar"))
-        assert matrix == scalar
+        assert rows == scalar
 
     def test_engines_identical_on_randomized_chains(self):
         import numpy as np
@@ -233,21 +233,54 @@ class TestJoinEngines:
                 + 1.0
             )
             psms = [generate_psm(gamma, delta)]
-            matrix = join_snapshot(
-                join(psms, {0: delta}, POLICY, engine="matrix")
+            rows = join_snapshot(
+                join(psms, {0: delta}, POLICY, engine="rows")
             )
             scalar = join_snapshot(
                 join(psms, {0: delta}, POLICY, engine="scalar")
             )
-            assert matrix == scalar
+            assert rows == scalar
 
-    def test_auto_selects_by_state_count(self):
+    def test_default_engine_matches_scalar(self):
         p, psms, power = make_psms()
-        # auto must give the same result regardless of which backend it
-        # picks on either side of the threshold
-        auto = join_snapshot(join(psms, power, POLICY, engine="auto"))
+        default = join_snapshot(join(psms, power, POLICY))
         scalar = join_snapshot(join(psms, power, POLICY, engine="scalar"))
-        assert auto == scalar
+        assert default == scalar
+
+    def test_long_join_memory_is_bounded(self):
+        # Thousands of near-unique states over a handful of power
+        # levels: the leader rows cost G x U lanes, where a U x U
+        # decision table would take hundreds of MiB here.
+        import tracemalloc
+
+        import numpy as np
+
+        rng = np.random.default_rng(99)
+        alphabet = props(6)
+        indices = []
+        while len(indices) < 11000:
+            indices.extend([int(rng.integers(0, 6))] * int(rng.integers(1, 6)))
+        indices = np.asarray(indices[:11000], dtype=np.int32)
+        gamma = PropositionTrace.from_indices(indices, alphabet, 0)
+        delta = PowerTrace(
+            (1.0 + 2.0 * (indices % 3)) * rng.normal(1.0, 0.02, len(indices))
+        )
+        psms = [generate_psm(gamma, delta)]
+        states = psms[0].states
+        unique = {
+            (s.attributes.mu, s.attributes.sigma, s.attributes.n)
+            for s in states
+        }
+        assert len(states) >= 3000 and len(unique) >= 2000
+        tracemalloc.start()
+        try:
+            rows = join(psms, {0: delta}, POLICY, engine="rows")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        scalar = join(psms, {0: delta}, POLICY, engine="scalar")
+        assert join_snapshot(rows) == join_snapshot(scalar)
 
     def test_unknown_engine_rejected(self):
         p, psms, power = make_psms()

@@ -1,5 +1,7 @@
 """Tests for the merge decision (paper Sec. IV-A)."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -170,8 +172,38 @@ class TestMergePolicy:
             MergePolicy(**kwargs)
 
 
+def leader_row(policy, unique, leader):
+    """One leader's decisions against every unique triplet."""
+    count = len(unique)
+    return policy._decide_lanes(
+        unique, np.full(count, leader), np.arange(count)
+    )
+
+
+def equal_variance_rows(rng, count):
+    """Triplets with equal positive sample variances but different ``n``.
+
+    The sample variance is computed as the kernel does
+    (``sigma ** 2 * n / (n - 1)``) and only exact hits are kept, so
+    every pair drawn here takes the F-test's ``f == 1`` branch, whose
+    p-value depends on which operand is the leader.
+    """
+    out = []
+    while len(out) < count:
+        target = float(rng.choice([0.5, 1.0, 2.0, 4.0, 0.09]))
+        mu = float(rng.choice([3.0, 3.05]))
+        hits = []
+        for n in (2, 3, 5, 17, 30, 64):
+            sigma = math.sqrt(target * (n - 1) / n)
+            if sigma ** 2 * n / (n - 1) == target:
+                hits.append(attrs(mu, sigma, n))
+        if len({a.n for a in hits}) >= 2:
+            out.extend(hits)
+    return out
+
+
 class TestMergeabilityMatrix:
-    """Batched pairwise decisions vs the scalar oracle."""
+    """Batched leader-row decisions vs the scalar oracle."""
 
     POLICIES = [
         MergePolicy(),
@@ -189,12 +221,16 @@ class TestMergeabilityMatrix:
             max_cv=0.1,
             variance_alpha=0.05,
         ),
+        # A strict variance gate: an f == 1 F-test between unequal
+        # sample counts passes in one operand order and fails in the
+        # other, so this policy pins the (leader, candidate) orientation.
+        MergePolicy(alpha=0.05, max_cv=None, variance_alpha=0.9),
     ]
 
     def random_attrs(self, rng, count):
         out = []
         for _ in range(count):
-            kind = int(rng.integers(0, 5))
+            kind = int(rng.integers(0, 6))
             if kind == 0:
                 # next-based single observations
                 out.append(attrs(float(rng.normal(5, 3)), 0.0, 1))
@@ -221,6 +257,9 @@ class TestMergeabilityMatrix:
                 out.append(
                     attrs(float(rng.normal(10, 5)), 0.0, int(rng.integers(2, 8)))
                 )
+            elif kind == 4:
+                # equal positive variances with different n
+                out.extend(equal_variance_rows(rng, 1))
             else:
                 out.append(
                     attrs(
@@ -233,17 +272,56 @@ class TestMergeabilityMatrix:
                 )
         return out
 
+    def assert_rows_match_oracle(self, policy, batch):
+        unique, inverse = policy.mergeability_lookup(batch)
+        for leader in range(len(unique)):
+            row = leader_row(policy, unique, leader)
+            a = batch[int(np.flatnonzero(inverse == leader)[0])]
+            for j, b in enumerate(batch):
+                assert row[inverse[j]] == policy.mergeable_attributes(a, b)
+
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2024)
         for policy in self.POLICIES:
             for _ in range(6):
                 batch = self.random_attrs(rng, int(rng.integers(2, 40)))
-                matrix = policy.mergeability_matrix(batch)
-                for i, a in enumerate(batch):
-                    for j, b in enumerate(batch):
-                        assert matrix[i, j] == policy.mergeable_attributes(
-                            a, b
-                        )
+                self.assert_rows_match_oracle(policy, batch)
+
+    def test_leader_rows_match_oracle_property(self):
+        rng = np.random.default_rng(11)
+        fixed = [
+            attrs(3.0, 0.0, 1),
+            attrs(3.0001, 0.0, 1),
+            attrs(8.0, 0.0, 1),
+            attrs(3.0, 0.1, 5),
+            attrs(3.01, 0.12, 9),
+            attrs(3.0, 0.0, 4),
+            attrs(12.0, 0.4, 30),
+            attrs(0.0, 0.0, 6),
+            attrs(0.0, 0.3, 6),
+            attrs(12.1, 0.38, 40),
+        ]
+        orientation_flips = 0
+        for trial in range(8):
+            batch = fixed + self.random_attrs(rng, 60)
+            batch += [batch[int(k)] for k in rng.integers(0, len(batch), 8)]
+            # The generator must cover every branch the kernel special-cases.
+            assert any(a.n == 1 for a in batch)
+            assert any(a.sigma == 0.0 and a.n > 1 for a in batch)
+            assert any(a.mu == 0.0 for a in batch)
+            assert len({(a.mu, a.sigma, a.n) for a in batch}) < len(batch)
+            for policy in self.POLICIES:
+                self.assert_rows_match_oracle(policy, batch)
+            strict = self.POLICIES[-1]
+            orientation_flips += sum(
+                strict.mergeable_attributes(a, b)
+                != strict.mergeable_attributes(b, a)
+                for a in batch
+                for b in batch
+            )
+        # Operand order really decides some lanes, so the rows above
+        # pin it rather than agreeing by symmetry.
+        assert orientation_flips > 0
 
     def test_no_floating_point_warnings(self):
         # The lane kernel must keep every division/betainc operand
@@ -252,54 +330,36 @@ class TestMergeabilityMatrix:
         batch = self.random_attrs(rng, 64)
         with np.errstate(all="raise"):
             for policy in self.POLICIES:
-                policy.mergeability_matrix(batch)
+                unique, _ = policy.mergeability_lookup(batch)
+                for leader in range(len(unique)):
+                    leader_row(policy, unique, leader)
 
-    def test_scalar_fill_and_lane_kernel_agree(self):
-        # Force both sides of the _SCALAR_MAX_UNIQUE dispatch on the same
-        # unique rows.
-        policy = MergePolicy()
-        unique = np.array(
-            [
-                (3.0, 0.0, 1.0),
-                (3.0001, 0.0, 1.0),
-                (8.0, 0.0, 1.0),
-                (3.0, 0.1, 5.0),
-                (3.01, 0.12, 9.0),
-                (3.0, 0.0, 4.0),
-                (12.0, 0.4, 30.0),
-                (0.0, 0.0, 6.0),
-                (0.0, 0.3, 6.0),
-                (12.1, 0.38, 40.0),
-            ]
-        )
-        assert len(unique) > MergePolicy._SCALAR_MAX_UNIQUE
-        lanes = policy._unique_mergeability_matrix(unique)
-        saved = MergePolicy._SCALAR_MAX_UNIQUE
-        try:
-            MergePolicy._SCALAR_MAX_UNIQUE = len(unique) + 1
-            scalar = policy._unique_mergeability_matrix(unique)
-        finally:
-            MergePolicy._SCALAR_MAX_UNIQUE = saved
-        assert np.array_equal(lanes, scalar)
-
-    def test_lookup_expands_to_matrix(self):
+    def test_lookup_dedups_first_seen(self):
         policy = MergePolicy()
         rng = np.random.default_rng(3)
         batch = self.random_attrs(rng, 20)
-        small, inverse = policy.mergeability_lookup(batch)
+        batch += batch[:5]
+        unique, inverse = policy.mergeability_lookup(batch)
         assert len(inverse) == len(batch)
-        expanded = small[np.ix_(inverse, inverse)]
-        assert np.array_equal(expanded, policy.mergeability_matrix(batch))
+        keys = [(a.mu, a.sigma, float(a.n)) for a in batch]
+        assert [tuple(row) for row in unique] == list(dict.fromkeys(keys))
+        for k, key in enumerate(keys):
+            assert tuple(unique[inverse[k]]) == key
 
     def test_symmetric_with_diagonal(self):
+        # Under the default gate every decision is orientation-free, so
+        # the stacked leader rows form a symmetric matrix.
         policy = MergePolicy()
         rng = np.random.default_rng(5)
-        batch = self.random_attrs(rng, 25)
-        matrix = policy.mergeability_matrix(batch)
+        unique, _ = policy.mergeability_lookup(self.random_attrs(rng, 25))
+        matrix = np.array(
+            [leader_row(policy, unique, k) for k in range(len(unique))]
+        )
         assert np.array_equal(matrix, matrix.T)
 
     def test_empty_input(self):
         policy = MergePolicy()
-        assert policy.mergeability_matrix([]).shape == (0, 0)
-        small, inverse = policy.mergeability_lookup([])
-        assert small.shape == (0, 0) and len(inverse) == 0
+        unique, inverse = policy.mergeability_lookup([])
+        assert unique.shape == (0, 3) and len(inverse) == 0
+        empty = np.zeros(0, dtype=np.intp)
+        assert policy._decide_lanes(unique, empty, empty).shape == (0,)
