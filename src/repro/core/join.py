@@ -117,6 +117,7 @@ def _cluster(
         )
         row_of = inverse.tolist()
         candidates = np.arange(len(unique))
+        lanes = policy._lane_columns(unique)
         leader_rows: Dict[int, List[bool]] = {}
 
         def decide(group: _Group, index: int, attrs: PowerAttributes) -> bool:
@@ -125,8 +126,8 @@ def _cluster(
             if row is None:
                 # Plain lists: the loops probe single entries, and
                 # Python-level list indexing beats numpy scalar indexing.
-                row = leader_rows[leader] = policy._decide_lanes(
-                    unique, np.full(len(unique), leader), candidates
+                row = leader_rows[leader] = policy._decide_pairs(
+                    lanes, np.full(len(unique), leader), candidates
                 ).tolist()
             return row[row_of[index]]
 

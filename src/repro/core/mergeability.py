@@ -234,14 +234,16 @@ class MergePolicy:
         Lane ``k`` decides ``mergeable_attributes(unique[ia[k]],
         unique[ib[k]])`` in that operand order — which matters for the
         F-test of two equal positive variances with different ``n``,
-        whose p-value depends on which side is ``a``.  The Case 1/2/3
-        statistics are evaluated as numpy vectors with the *same
-        operation order* as the scalar functions above (including
-        ``x ** 2`` via ``np.float_power``, which matches Python's ``**``
-        bit for bit where ``np.square`` does not), so every lane is
-        decided on bit-identical intermediate values.  Each case's
-        statistics run only on the compressed index set of lanes that
-        take that case, so ``betainc`` sees just the lanes that need it.
+        whose p-value depends on which side is ``a``.  One-shot form of
+        :meth:`_lane_columns` followed by :meth:`_decide_pairs`.
+        """
+        return self._decide_pairs(self._lane_columns(unique), ia, ib)
+
+    def _lane_columns(self, unique: np.ndarray) -> "tuple[np.ndarray, ...]":
+        """Per-row inputs of the lane kernel: ``(mu, n, var, single, low)``.
+
+        Depends only on the deduplicated triplets, so a join computes it
+        once and reuses it for every leader row.
         """
         mu = unique[:, 0]
         sigma = unique[:, 1]
@@ -264,7 +266,25 @@ class MergePolicy:
         # (population variance via ** 2, times n, divided by n - 1).
         with np.errstate(divide="ignore", invalid="ignore"):
             var = np.float_power(sigma, 2.0) * nf / (nf - 1.0)
+        return mu, nf, var, single, low
 
+    def _decide_pairs(
+        self,
+        columns: "tuple[np.ndarray, ...]",
+        ia: np.ndarray,
+        ib: np.ndarray,
+    ) -> np.ndarray:
+        """Decide lanes ``(ia[k], ib[k])`` from :meth:`_lane_columns` rows.
+
+        The Case 1/2/3 statistics are evaluated as numpy vectors with the
+        *same operation order* as the scalar functions above (including
+        ``x ** 2`` via ``np.float_power``, which matches Python's ``**``
+        bit for bit where ``np.square`` does not), so every lane is
+        decided on bit-identical intermediate values.  Each case's
+        statistics run only on the compressed index set of lanes that
+        take that case, so ``betainc`` sees just the lanes that need it.
+        """
+        mu, nf, var, single, low = columns
         mu_a, mu_b = mu[ia], mu[ib]
         n_a, n_b = nf[ia], nf[ib]
         var_a, var_b = var[ia], var[ib]

@@ -218,15 +218,12 @@ class ChoiceAssertion(TemporalAssertion):
     def alternatives(self) -> Tuple[TemporalAssertion, ...]:
         """Distinct member assertions, preserving first-seen order.
 
-        Memoised: simulators rebuild state trackers every entry and the
-        dedup is quadratic in the (immutable) member list.
+        Memoised: simulators rebuild state trackers every entry.  The
+        dedup hashes each member once (``dict.fromkeys`` keeps the first
+        of equal members), linear in the member list.
         """
         if self._alternatives is None:
-            seen: List[TemporalAssertion] = []
-            for part in self.parts:
-                if part not in seen:
-                    seen.append(part)
-            self._alternatives = tuple(seen)
+            self._alternatives = tuple(dict.fromkeys(self.parts))
         return self._alternatives
 
     def multiplicity(self, assertion: TemporalAssertion) -> int:

@@ -41,6 +41,9 @@ class Module:
 
     def __init__(self) -> None:
         self._registers: Dict[str, Register] = {}
+        # One toggle counter per power domain, shared by the domain's
+        # registers (declaration order = component order).
+        self._domain_toggles: Dict[str, List[int]] = {}
         self._extra_activity: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -52,7 +55,8 @@ class Module:
         """Declare a register; called from subclass ``__init__``."""
         if name in self._registers:
             raise ValueError(f"duplicate register name {name!r}")
-        register = Register(name, width, init, component)
+        counter = self._domain_toggles.setdefault(component, [0])
+        register = Register(name, width, init, component, counter)
         self._registers[name] = register
         return register
 
@@ -64,10 +68,7 @@ class Module:
     @property
     def components(self) -> List[str]:
         """Names of the sub-components (power domains) of the module."""
-        names: List[str] = []
-        for register in self._registers.values():
-            if register.component not in names:
-                names.append(register.component)
+        names = list(self._domain_toggles)
         for name in self._extra_activity:
             if name not in names:
                 names.append(name)
@@ -108,14 +109,16 @@ class Module:
         """Per-component switching activity accumulated over the last cycle.
 
         Clears the accumulators so each simulation cycle starts fresh.
+        Register toggles are exact integer sums per domain, so converting
+        the domain total once equals adding them one by one as floats;
+        the :meth:`add_activity` extras are added after, in call order.
         """
         activity: Dict[str, float] = {}
-        for register in self._registers.values():
-            toggles = register.collect_toggles()
+        for component, counter in self._domain_toggles.items():
+            toggles = counter[0]
             if toggles:
-                activity[register.component] = (
-                    activity.get(register.component, 0.0) + toggles
-                )
+                activity[component] = float(toggles)
+                counter[0] = 0
         for component, toggles in self._extra_activity.items():
             if toggles:
                 activity[component] = activity.get(component, 0.0) + toggles
@@ -161,15 +164,6 @@ class Module:
     def output_bits(cls) -> int:
         """Total PO width in bits (Table I column)."""
         return sum(v.width for v in cls.OUTPUTS)
-
-    def check_inputs(self, inputs: Mapping[str, int]) -> Dict[str, int]:
-        """Validate and normalise an input assignment."""
-        values: Dict[str, int] = {}
-        for spec in self.INPUTS:
-            if spec.name not in inputs:
-                raise KeyError(f"missing input {spec.name!r}")
-            values[spec.name] = spec.validate_value(inputs[spec.name])
-        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<{type(self).__name__} {self.NAME!r}>"

@@ -9,6 +9,8 @@ power estimator (the PrimeTime PX substitute) integrates per cycle.
 
 from __future__ import annotations
 
+from typing import List, Optional
+
 
 def mask_for(width: int) -> int:
     """Bit mask for an unsigned value of ``width`` bits."""
@@ -21,7 +23,7 @@ def popcount_int(value: int) -> int:
     """Number of set bits of a non-negative integer."""
     if value < 0:
         raise ValueError("popcount of negative value")
-    return bin(value).count("1")
+    return value.bit_count()
 
 
 def hamming(a: int, b: int) -> int:
@@ -44,10 +46,21 @@ class Register:
         Name of the sub-component (power domain) this register belongs to;
         activity is aggregated per component so hierarchical IPs such as
         Camellia can expose per-subcomponent power behaviour.
+    counter:
+        One-slot list the register adds its toggles to.  A standalone
+        register owns a private one; :meth:`repro.hdl.module.Module.reg`
+        passes the counter of the register's power domain, shared by every
+        register of that domain, so the module reads one integer per
+        domain per cycle instead of one per register.
     """
 
     def __init__(
-        self, name: str, width: int, init: int = 0, component: str = "core"
+        self,
+        name: str,
+        width: int,
+        init: int = 0,
+        component: str = "core",
+        counter: Optional[List[int]] = None,
     ) -> None:
         self.name = name
         self.width = width
@@ -55,23 +68,32 @@ class Register:
         self._mask = mask_for(width)
         self._init = init & self._mask
         self.value = self._init
-        self._toggles = 0
+        self._counter = [0] if counter is None else counter
 
     def load(self, value: int) -> None:
         """Clock a new value in, accumulating the toggled-bit count."""
         value = int(value) & self._mask
-        self._toggles += popcount_int(self.value ^ value)
+        self._counter[0] += (self.value ^ value).bit_count()
         self.value = value
 
     def reset(self) -> None:
-        """Return to the reset value without recording activity."""
+        """Return to the reset value without recording activity.
+
+        Clears the toggle counter — the whole domain's when it is shared,
+        which is why a module resets all its registers together.
+        """
         self.value = self._init
-        self._toggles = 0
+        self._counter[0] = 0
 
     def collect_toggles(self) -> int:
-        """Return and clear the toggles accumulated since the last call."""
-        toggles = self._toggles
-        self._toggles = 0
+        """Return and clear the toggles accumulated since the last call.
+
+        For a module-owned register this is its whole power domain's
+        count; modules read it through
+        :meth:`repro.hdl.module.Module.collect_activity`.
+        """
+        toggles = self._counter[0]
+        self._counter[0] = 0
         return toggles
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

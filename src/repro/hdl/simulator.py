@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from itertools import chain, repeat
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..traces.functional import FunctionalTrace
+from ..traces.variables import VariableSpec
 from .module import Module
 
 
@@ -33,6 +35,26 @@ class ActivityRecord:
         # the per-cycle lists on each read dominated its runtime.
         self._frozen: Dict[str, np.ndarray] = {}
         self._total: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_records(
+        cls,
+        components: Iterable[str],
+        records: Sequence[Mapping[str, float]],
+    ) -> "ActivityRecord":
+        """Build a whole record from per-cycle activity mappings at once.
+
+        Equivalent to :meth:`append` of every record in turn: the columns
+        are ``components`` followed by components that first report
+        activity mid-run, in first-seen order, with zeros elsewhere.
+        """
+        record = cls(())
+        names = dict.fromkeys(chain(components, chain.from_iterable(records)))
+        record._columns = {
+            name: [float(r.get(name, 0.0)) for r in records] for name in names
+        }
+        record._length = len(records)
+        return record
 
     @property
     def components(self) -> List[str]:
@@ -114,6 +136,13 @@ class Simulator:
     ) -> SimulationResult:
         """Simulate the module over a stimulus sequence.
 
+        The run is columnar: every input column is range-checked once up
+        front, each cycle appends its outputs, probes and activity to
+        per-variable and per-cycle lists, and the functional trace and
+        the activity record are built once from whole columns after the
+        last cycle.  A bad stimulus value therefore raises before the
+        first cycle, wherever it sits.
+
         Parameters
         ----------
         stimulus:
@@ -129,32 +158,69 @@ class Simulator:
         include_probes:
             Record the module's declared internal probes as additional
             trace variables (hierarchical power modelling).
+
+        Raises
+        ------
+        KeyError
+            If a stimulus row lacks a primary input.
+        ValueError
+            If an input or output value does not fit its variable's width.
         """
         module = self.module
         if reset:
             module.reset()
             module.collect_activity()  # discard reset activity
-        specs = module.trace_specs()
-        if include_probes:
-            specs = specs + module.probe_specs()
-        trace = FunctionalTrace(specs, name=name or module.NAME)
-        activity = ActivityRecord(module.components)
+        components = module.components
         start = time.perf_counter()
-        cycle = 0
-        for raw_inputs in stimulus:
-            inputs = module.check_inputs(raw_inputs)
-            outputs = module.step(inputs)
-            row = dict(inputs)
-            row.update(outputs)
+        rows = list(stimulus)
+        inputs = module.input_specs()
+        recorded_specs = module.output_specs() + (
+            module.probe_specs() if include_probes else []
+        )
+        columns = _input_columns(inputs, rows)
+        names = [spec.name for spec in inputs]
+        stimuli = (
+            zip(*[columns[name] for name in names])
+            if names
+            else repeat((), len(rows))
+        )
+        recorded = [(spec.name, []) for spec in recorded_specs]
+        records: List[Dict[str, float]] = []
+        step = module.step
+        probe_values = module.probe_values
+        collect = module.collect_activity if self.record_activity else None
+        for cycle, values in enumerate(stimuli):
+            assignment = dict(zip(names, values))
+            row = step(assignment)
             if include_probes:
-                row.update(module.probe_values())
-            trace.append(row)
-            if self.record_activity:
-                activity.append(module.collect_activity())
+                row = {**row, **probe_values()}
+            for var, column in recorded:
+                column.append(row[var])
+            if collect is not None:
+                records.append(collect())
             if observer is not None:
-                observer(cycle, row)
-            cycle += 1
+                observer(cycle, {**assignment, **row})
+        for spec, (_, column) in zip(recorded_specs, recorded):
+            columns[spec.name] = FunctionalTrace._validate_column(spec, column)
+        trace = FunctionalTrace.from_checked_columns(
+            inputs + recorded_specs, columns, name=name or module.NAME
+        )
+        activity = ActivityRecord.from_records(components, records)
         wall = time.perf_counter() - start
         return SimulationResult(
-            trace=trace, activity=activity, cycles=cycle, wall_time=wall
+            trace=trace, activity=activity, cycles=len(rows), wall_time=wall
         )
+
+
+def _input_columns(
+    specs: Sequence[VariableSpec], rows: Sequence[Mapping[str, int]]
+) -> Dict[str, List[int]]:
+    """Every primary-input column of a stimulus, range-checked once."""
+    columns: Dict[str, List[int]] = {}
+    for spec in specs:
+        try:
+            raw = [row[spec.name] for row in rows]
+        except KeyError:
+            raise KeyError(f"missing input {spec.name!r}") from None
+        columns[spec.name] = FunctionalTrace._validate_column(spec, raw)
+    return columns

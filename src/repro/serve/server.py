@@ -283,7 +283,9 @@ class PsmServer:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except Exception:
+            except (Exception, asyncio.CancelledError):
+                # Teardown can cancel a handler already closing its
+                # connection; end normally here too, as above.
                 pass
 
     async def _respond(

@@ -128,7 +128,14 @@ class FunctionalTrace:
 
     @staticmethod
     def _validate_column(var: VariableSpec, values: Sequence) -> List[int]:
-        """Range-check one column; vectorised for narrow variables."""
+        """Range-check one column into a list of Python ints.
+
+        Narrow variables (width <= 62) are checked as one int64 array;
+        wide ones convert every value once and test only the column's
+        extremes.  Either way the first offending value, in column
+        order, raises the canonical :meth:`VariableSpec.validate_value`
+        error.
+        """
         if var.width <= 62:
             try:
                 arr = np.asarray(values, dtype=np.int64)
@@ -140,13 +147,13 @@ class FunctionalTrace:
                 raise ValueError(f"column {var.name!r} must be 1-D")
             bad = np.nonzero((arr < 0) | (arr > var.max_value))[0]
             if len(bad):
-                value = int(arr[bad[0]])
-                raise ValueError(
-                    f"value {value} out of range for {var.name} "
-                    f"(width {var.width})"
-                )
+                var.validate_value(int(arr[bad[0]]))
             return arr.tolist()
-        return [var.validate_value(x) for x in values]
+        ints = list(map(int, values))
+        if ints and (min(ints) < 0 or max(ints) > var.max_value):
+            for value in ints:
+                var.validate_value(value)
+        return ints
 
     @classmethod
     def from_arrays(
@@ -163,6 +170,24 @@ class FunctionalTrace:
         """
         trace = cls(variables, name=name)
         trace.extend_columns(columns)
+        return trace
+
+    @classmethod
+    def from_checked_columns(
+        cls,
+        variables: Sequence[VariableSpec],
+        columns: Mapping[str, List[int]],
+        name: str = "trace",
+    ) -> "FunctionalTrace":
+        """Adopt columns already passed through :meth:`_validate_column`.
+
+        The lists become the trace's storage as they are — no copy, no
+        second range check — so the caller must not mutate them after.
+        """
+        trace = cls(variables, name=name)
+        if len({len(columns[v.name]) for v in variables}) > 1:
+            raise ValueError("all columns must have the same length")
+        trace._columns = {v.name: columns[v.name] for v in variables}
         return trace
 
     # ------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.core.mining import AssertionMiner, MinerConfig
@@ -19,6 +21,36 @@ def _fresh_state_ids():
     """Keep state ids deterministic per test."""
     reset_state_ids()
     yield
+
+
+class _ErrorRecords(logging.Handler):
+    """Collects every ERROR-or-worse record from any logger or thread."""
+
+    def __init__(self) -> None:
+        super().__init__(level=logging.ERROR)
+        self.records = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture
+def no_error_logs():
+    """Fail the test if anything logs at ERROR or worse while it runs.
+
+    Catches what a passing test hides, such as an asyncio "Exception in
+    callback" from a server task that died during teardown.
+    """
+    handler = _ErrorRecords()
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+    if handler.records:
+        lines = [f"{r.name}: {r.getMessage()}" for r in handler.records]
+        pytest.fail("unexpected ERROR log records:\n" + "\n".join(lines))
 
 
 @pytest.fixture

@@ -133,6 +133,19 @@ class TestChoice:
         assert choice.multiplicity(u) == 2
         assert len(choice.alternatives()) == 2
 
+    def test_alternatives_keep_first_seen_order_and_identity(self, p):
+        # Equal-but-distinct members collapse onto the first occurrence,
+        # in the order members first appear.
+        a = UntilAssertion(p[0], p[1])
+        a_again = UntilAssertion(p[0], p[1])
+        b = NextAssertion(p[1], p[2])
+        c = UntilAssertion(p[2], p[3])
+        choice = ChoiceAssertion([b, a, c, a_again, b, c, a])
+        alternatives = choice.alternatives()
+        assert alternatives == (b, a, c)
+        assert [id(x) for x in alternatives] == [id(b), id(a), id(c)]
+        assert choice.alternatives() is alternatives
+
     def test_match_tries_alternatives(self, p):
         trace = PropositionTrace([p[2], p[2], p[3]])
         choice = ChoiceAssertion(

@@ -60,3 +60,30 @@ class TestColumnCache:
         record = ActivityRecord([])
         assert record.total().tolist() == []
         assert len(record) == 0
+
+
+class TestFromRecords:
+    RECORDS = [
+        {"alu": 1.0},
+        {},
+        {"late": 5.0, "alu": 2.0},
+        {"later": 0.5, "regs": 3},
+        {"late": 1.25},
+    ]
+
+    def test_equals_appending_every_record(self):
+        appended = ActivityRecord(["alu", "regs"])
+        for activity in self.RECORDS:
+            appended.append(activity)
+        built = ActivityRecord.from_records(["alu", "regs"], self.RECORDS)
+        assert built.components == appended.components
+        assert built.components == ["alu", "regs", "late", "later"]
+        assert len(built) == len(appended) == 5
+        for name in appended.components:
+            assert built.column(name).tolist() == appended.column(name).tolist()
+        assert built.total().tolist() == appended.total().tolist()
+
+    def test_no_records_keeps_components(self):
+        built = ActivityRecord.from_records(["alu"], [])
+        assert built.components == ["alu"] and len(built) == 0
+        assert built.total().tolist() == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.hdl.module import Module
+from repro.hdl.simulator import Simulator
 from repro.traces.variables import bool_in, int_in, int_out
 
 
@@ -87,6 +88,19 @@ class TestActivity:
         module.step({"en": 0, "clr": 0, "step": 0})
         assert module.collect_activity() == {}
 
+    def test_domain_sums_its_registers(self):
+        module = Counter()
+        extra = module.reg("shadow", 8, component="core")
+        other = module.reg("flag", 1, component="glue")
+        module.step({"en": 1, "clr": 0, "step": 3})  # count_reg: 2 toggles
+        extra.load(0xFF)  # 8 toggles, same domain
+        other.load(1)
+        activity = module.collect_activity()
+        assert activity == {"core": 10.0, "glue": 2.5}
+        extra.load(0)
+        module.reset()
+        assert module.collect_activity() == {}
+
     def test_add_activity_accumulates(self):
         module = Counter()
         module.add_activity("glue", 1.0)
@@ -95,17 +109,21 @@ class TestActivity:
 
 
 class TestCheckInputs:
+    """Stimulus validation, which :meth:`Simulator.run` does up front."""
+
     def test_valid(self):
-        values = Counter().check_inputs({"en": 1, "clr": 0, "step": 15})
-        assert values == {"en": 1, "clr": 0, "step": 15}
+        trace = Simulator(Counter()).run(
+            [{"en": 1, "clr": 0, "step": 15, "unused": 99}]
+        ).trace
+        assert trace.at(0) == {"en": 1, "clr": 0, "step": 15, "count": 15}
 
     def test_missing_input(self):
         with pytest.raises(KeyError):
-            Counter().check_inputs({"en": 1, "clr": 0})
+            Simulator(Counter()).run([{"en": 1, "clr": 0}])
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            Counter().check_inputs({"en": 1, "clr": 0, "step": 16})
+            Simulator(Counter()).run([{"en": 1, "clr": 0, "step": 16}])
 
     def test_abstract_step(self):
         with pytest.raises(NotImplementedError):
