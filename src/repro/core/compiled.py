@@ -12,11 +12,18 @@ gathers:
 * the complete simulator state — current state id, tracker progress,
   revert shadows, banned paths — is interned into *configurations*; the
   machine is the deterministic automaton over ``(config, code)``;
-* per-configuration transition rows are resolved lazily by running the
-  **object oracle's own step logic** exactly once per distinct
-  ``(config, code)`` pair, so the tables are bit-exact by construction
-  (the HMM argmax, the successor ordering, the resynchronisation
-  scoring are all baked in at resolution time);
+* tracker progress is lowered to integers: each state's assertion
+  becomes a part automaton (per alternative a cascade of ``(is_until,
+  left code, right code)`` parts, per entry code the ``(alternative,
+  part)`` pairs it enters), so a tracker is a tuple of integer pairs;
+* per-configuration transition rows are resolved lazily, exactly once
+  per distinct ``(config, code)`` pair, by stepping those automata
+  through the oracle's control flow (the HMM argmax, the successor
+  ordering and the resynchronisation scoring are the oracle's own,
+  baked in at resolution time); the automata's stepping shares no code
+  with the object simulators' ``StateTracker``, which checks it bit for
+  bit (both read the assertion's entry index, itself checked against a
+  brute-force scan);
 * resolved rows compose whole run-length segments: when the first
   instant of a segment lands in a configuration that self-loops on the
   segment's code with no side effects, the remaining ``k - 1`` instants
@@ -49,11 +56,9 @@ from .simulation import (
     EstimationResult,
     MultiPsmSimulator,
     SinglePsmSimulator,
-    StateTracker,
-    _AlternativeTracker,
     _needs_distances,
 )
-from .temporal import ChoiceAssertion
+from .temporal import NextAssertion, UntilAssertion, entry_index
 
 #: Segment-table sentinels: not yet resolved / needs per-instant stepping.
 _UNRESOLVED = -1
@@ -65,6 +70,75 @@ _EV0 = (0, 0, 0, 0, -1)
 #: Start-configuration sentinel of the single-PSM machine (its first
 #: instant *enters* the initial state instead of advancing a tracker).
 _START = ("start",)
+
+
+class _PartAutomaton:
+    """Integer form of one state's assertion, built at first use.
+
+    ``parts[a]`` is alternative ``a``'s cascade of ``(is_until, left
+    code, right code)`` triples (code ``-1`` for a proposition outside
+    the labeler's universe, which no instant can carry).  ``starts`` and
+    ``boundaries`` map an entry code to the tracker key it enters — the
+    ``(alternative, part)`` pairs of the assertion's
+    :class:`~repro.core.temporal.EntryIndex`, for entry and for
+    resynchronising into a cascade respectively.
+    """
+
+    __slots__ = ("parts", "starts", "boundaries")
+
+    def __init__(self, state: PowerState, code_index: Dict) -> None:
+        index = entry_index(state.assertion)
+        parts = []
+        for cascade in index.parts:
+            lowered = []
+            for part in cascade:
+                if not isinstance(part, (UntilAssertion, NextAssertion)):
+                    raise TypeError(
+                        f"unexpected part type {type(part).__name__}"
+                    )
+                lowered.append(
+                    (
+                        isinstance(part, UntilAssertion),
+                        code_index.get(part.left, -1),
+                        code_index.get(part.right, -1),
+                    )
+                )
+            parts.append(tuple(lowered))
+        self.parts: Tuple[tuple, ...] = tuple(parts)
+        self.starts = _by_code(index.starts, code_index)
+        self.boundaries = _by_code(index.boundaries, code_index)
+
+    def advance(self, key: tuple, code: int) -> Tuple[str, tuple]:
+        """One instant of a tracker key: ``(verdict, next key)``.
+
+        The integer image of ``StateTracker.advance``: until bodies stay,
+        exit propositions cascade to the next part or exit, anything else
+        drops the alternative; the survivors keep their order.
+        """
+        stays = []
+        exited = False
+        parts = self.parts
+        for alt, index in key:
+            is_until, left, right = parts[alt][index]
+            if is_until and code == left:
+                stays.append((alt, index))
+            elif code == right:
+                if index + 1 < len(parts[alt]):
+                    stays.append((alt, index + 1))
+                else:
+                    exited = True
+        if stays:
+            return STAY, tuple(stays)
+        return (EXIT if exited else VIOLATION), ()
+
+
+def _by_code(index: Dict, code_index: Dict) -> Dict[int, tuple]:
+    """Re-key a proposition-keyed entry index by proposition code."""
+    return {
+        code_index[prop]: pairs
+        for prop, pairs in index.items()
+        if prop in code_index
+    }
 
 
 class LazyStateSequence:
@@ -164,9 +238,11 @@ class _CompiledMachine:
         # into +0.0; fall back on the masked path when one exists.
         self._fused_ok = not bool(np.signbit(self._base).any())
         self._needs = needs_distances
-        # Tracker-state interning helpers (per state id).
-        self._alt_tuples: Dict[int, tuple] = {}
-        self._alt_pos: Dict[int, Dict[int, int]] = {}
+        # Key of the walks memoised on traces (see
+        # ``PropositionLabeler.cache_token``: ``id(self)`` can be reused).
+        self._cache_token = object()
+        # Integer tracker automata, per state id.
+        self._automata: Dict[int, _PartAutomaton] = {}
         # Configuration tables.
         self._cfg_ids: Dict[tuple, int] = {}
         self._cfg_list: List[tuple] = []
@@ -189,43 +265,13 @@ class _CompiledMachine:
     def _outputs(self, cfg: tuple) -> Tuple[int, int, bool]:
         raise NotImplementedError
 
-    # -- tracker (de)serialisation --------------------------------------
-    def _state_alts(self, state: PowerState) -> tuple:
-        alts = self._alt_tuples.get(state.sid)
-        if alts is None:
-            if isinstance(state.assertion, ChoiceAssertion):
-                alts = state.assertion.alternatives()
-            else:
-                alts = (state.assertion,)
-            self._alt_tuples[state.sid] = alts
-            self._alt_pos[state.sid] = {
-                id(alt): k for k, alt in enumerate(alts)
-            }
-        return alts
-
-    def _tracker_key(self, state: PowerState, tracker: StateTracker) -> tuple:
-        """Interned image of a tracker: ``(alternative, part)`` pairs in
-        ``_active`` order — everything ``advance`` branches on."""
-        self._state_alts(state)
-        pos = self._alt_pos[state.sid]
-        key = []
-        for alt_tracker in tracker._active:
-            p = pos.get(id(alt_tracker.assertion))
-            if p is None:  # equality fallback (never hit for memoised alts)
-                p = self._alt_tuples[state.sid].index(alt_tracker.assertion)
-            key.append((p, alt_tracker.index))
-        return tuple(key)
-
-    def _tracker_from_key(self, state: PowerState, key: tuple) -> StateTracker:
-        alts = self._state_alts(state)
-        tracker = StateTracker(state)
-        active = []
-        for p, index in key:
-            alt_tracker = _AlternativeTracker(alts[p])
-            alt_tracker.index = index
-            active.append(alt_tracker)
-        tracker._active = active
-        return tracker
+    # -- tracker automata -----------------------------------------------
+    def _automaton(self, state: PowerState) -> _PartAutomaton:
+        automaton = self._automata.get(state.sid)
+        if automaton is None:
+            automaton = _PartAutomaton(state, self._code_index)
+            self._automata[state.sid] = automaton
+        return automaton
 
     # -- configuration interning ----------------------------------------
     def _intern(self, cfg: tuple) -> int:
@@ -281,7 +327,7 @@ class _CompiledMachine:
     # -- trace coding ----------------------------------------------------
     def _coded(self, trace):
         """Integer-coded segment view of ``trace`` (memoised on it)."""
-        cache_key = ("compiled_segments", id(self._labeler))
+        cache_key = ("compiled_segments", self._labeler.cache_token)
         cache_get = getattr(trace, "cache_get", None)
         if cache_get is not None:
             cached = cache_get(cache_key)
@@ -320,7 +366,7 @@ class _CompiledMachine:
         # The walk is a pure function of the coded segments, so it is
         # interned on the (immutable-while-cached) trace just like the
         # labelling: repeat estimation is emission-only.
-        walk_key = ("compiled_walk", id(self))
+        walk_key = ("compiled_walk", self._cache_token)
         cache_get = getattr(trace, "cache_get", None)
         walk = cache_get(walk_key) if cache_get is not None else None
         if walk is None:
@@ -539,45 +585,29 @@ class CompiledSingle(_CompiledMachine):
 
     def _step(self, cfg: tuple, code: int) -> Tuple[tuple, tuple]:
         psm = self.oracle.psm
-        prop = self._prop_by_code[code]
         if cfg == _START:
             # First instant: enter the initial state (Sec. III-C).
             current = psm.initial_states[0]
-            tracker = StateTracker(current)
-            synced = prop is not None and tracker.enter(prop)
+            key = self._automaton(current).starts.get(code, ())
         else:
-            sid, tkey, synced = cfg
+            sid, key, synced = cfg
             current = psm.state(sid)
             if synced:
-                tracker = self._tracker_from_key(current, tkey)
-                verdict, _ = tracker.advance(prop)
+                verdict, key = self._automaton(current).advance(key, code)
                 if verdict == EXIT:
-                    moved = False
-                    for transition in psm.successors(current.sid):
+                    prop = self._prop_by_code[code]
+                    for transition in psm.successors(sid):
                         if transition.enabling != prop:
                             continue
                         nxt = psm.state(transition.dst)
-                        candidate = StateTracker(nxt)
-                        if candidate.enter(prop):
+                        key = self._automaton(nxt).starts.get(code, ())
+                        if key:
                             current = nxt
-                            tracker = candidate
-                            moved = True
                             break
-                    if not moved:
-                        synced = False
-                elif verdict == VIOLATION:
-                    synced = False
             else:
-                candidate = StateTracker(current)
-                if prop is not None and candidate.enter(prop):
-                    tracker = candidate
-                    synced = True
-        ncfg = (
-            current.sid,
-            self._tracker_key(current, tracker) if synced else (),
-            bool(synced),
-        )
-        return ncfg, _EV0
+                # Try to regain the current state's expected behaviour.
+                key = self._automaton(current).starts.get(code, ())
+        return (current.sid, key, bool(key)), _EV0
 
 
 class CompiledMulti(_CompiledMachine):
@@ -615,57 +645,48 @@ class CompiledMulti(_CompiledMachine):
         oracle = self.oracle
         hmm = oracle.hmm
         prop = self._prop_by_code[code]
-        cur_sid, tkey, lv_sid, eprev, echoice, shadows, banned = cfg
+        cur_sid, key, lv_sid, eprev, echoice, shadows, banned = cfg
         banned_set = set(banned)
-        if cur_sid is not None:
-            current = hmm.state(cur_sid)
-            tracker = self._tracker_from_key(current, tkey)
-        else:
-            current = None
-            tracker = None
-        last_valid = hmm.state(lv_sid) if lv_sid is not None else None
-        shadow_list = [
-            (sid, self._tracker_from_key(hmm.state(sid), key))
-            for sid, key in shadows
-        ]
+        shadow_list = list(shadows)
         entered = False
         predictions = wrong = nrev = 0
         rev_sid = -1
         guard = 0
         limit = len(oracle._all_states) + 2
-        while current is not None:
+        while cur_sid is not None:
             guard += 1
             if guard > limit:
-                current = None
+                cur_sid = None
                 break
-            verdict, _satisfied = tracker.advance(prop)
+            verdict, next_key = self._automaton(hmm.state(cur_sid)).advance(
+                key, code
+            )
             if verdict == STAY:
+                key = next_key
                 break
             if verdict == EXIT:
                 candidates = oracle._successor_candidates(
-                    current.sid, prop, banned_set
+                    cur_sid, prop, banned_set
                 )
                 if candidates:
-                    belief = hmm.belief_for_state(current.sid)
+                    belief = hmm.belief_for_state(cur_sid)
                     best = hmm.best_candidate(belief, candidates)
-                    eprev = current.sid
-                    current = hmm.state(best)
-                    tracker = StateTracker(current)
-                    tracker.enter(prop)
+                    eprev = cur_sid
+                    cur_sid = lv_sid = best
+                    key = self._entry_key(best, code)
                     echoice = len(candidates) > 1
                     if echoice:
                         predictions = 1
-                    last_valid = current
                     entered = True
                     shadow_list = []
                     for sid in candidates:
                         if sid == best:
                             continue
-                        shadow = StateTracker(hmm.state(sid))
-                        if shadow.enter(prop):
-                            shadow_list.append((sid, shadow))
+                        shadow_key = self._entry_key(sid, code)
+                        if shadow_key:
+                            shadow_list.append((sid, shadow_key))
                 else:
-                    current = None
+                    cur_sid = None
                 break
             # VIOLATION: wrong prediction (counted once per choice), then
             # revert to the best surviving shadow of the choice point.
@@ -673,7 +694,7 @@ class CompiledMulti(_CompiledMachine):
                 wrong = 1
                 echoice = False
             if eprev is not None:
-                banned_set.add((eprev, current.sid))
+                banned_set.add((eprev, cur_sid))
             if shadow_list:
                 sids = [sid for sid, _ in shadow_list]
                 belief = (
@@ -682,61 +703,49 @@ class CompiledMulti(_CompiledMachine):
                     else hmm.initial_belief()
                 )
                 best = hmm.best_candidate(belief, sids)
-                sid, shadow_tracker = shadow_list.pop(sids.index(best))
+                cur_sid, key = shadow_list.pop(sids.index(best))
+                lv_sid = rev_sid = cur_sid
                 nrev += 1
-                rev_sid = sid
-                current = hmm.state(sid)
-                tracker = shadow_tracker
-                last_valid = current
                 # Loop again: re-advance the corrected state on prop.
             else:
-                current = None
+                cur_sid = None
                 break
-        if current is None:
+        if cur_sid is None:
+            last_valid = hmm.state(lv_sid) if lv_sid is not None else None
             resynced = oracle._resync(prop, last_valid)
             if resynced is not None:
-                sid, anywhere = resynced
-                current = hmm.state(sid)
-                tracker = StateTracker(current)
-                if anywhere:
-                    tracker.enter_anywhere(prop)
-                else:
-                    tracker.enter(prop)
+                cur_sid, anywhere = resynced
+                automaton = self._automaton(hmm.state(cur_sid))
+                entries = (
+                    automaton.boundaries if anywhere else automaton.starts
+                )
+                key = entries.get(code, ())
+                lv_sid = cur_sid
                 eprev = None
                 echoice = False
-                last_valid = current
                 entered = True
                 shadow_list = []
-        if current is None:
-            ncfg = (
-                None,
-                (),
-                last_valid.sid if last_valid is not None else None,
-                None,
-                False,
-                (),
-                frozenset(banned_set),
-            )
+        if cur_sid is None:
+            ncfg = (None, (), lv_sid, None, False, (), frozenset(banned_set))
         else:
             if not entered:
                 # Lockstep shadow advance: dead shadows can never win a
                 # future revert (their replay would fail), so drop them.
                 alive = []
-                for sid, shadow in shadow_list:
-                    verdict, _ = shadow.advance(prop)
+                for sid, shadow_key in shadow_list:
+                    verdict, shadow_key = self._automaton(
+                        hmm.state(sid)
+                    ).advance(shadow_key, code)
                     if verdict == STAY:
-                        alive.append((sid, shadow))
+                        alive.append((sid, shadow_key))
                 shadow_list = alive
             ncfg = (
-                current.sid,
-                self._tracker_key(current, tracker),
-                current.sid,
+                cur_sid,
+                key,
+                cur_sid,
                 eprev,
                 echoice,
-                tuple(
-                    (sid, self._tracker_key(hmm.state(sid), shadow))
-                    for sid, shadow in shadow_list
-                ),
+                tuple(shadow_list),
                 frozenset(banned_set),
             )
         if entered or predictions or wrong or nrev:
@@ -744,6 +753,10 @@ class CompiledMulti(_CompiledMachine):
         else:
             ev = _EV0
         return ncfg, ev
+
+    def _entry_key(self, sid: int, code: int) -> tuple:
+        """Tracker key of state ``sid`` entered on ``code``."""
+        return self._automaton(self.oracle.hmm.state(sid)).starts.get(code, ())
 
 
 class CompiledBundle:
@@ -800,10 +813,8 @@ class CompiledBundle:
         # Entry matrix: can state (row) be entered on proposition (code)?
         entry = np.zeros((len(states), self.nsym), dtype=np.int8)
         for k, state in enumerate(states):
-            tracker = StateTracker(state)
-            for code, prop in enumerate(props):
-                if tracker.can_enter(prop):
-                    entry[k, code] = 1
+            starts = entry_index(state.assertion).starts
+            entry[k, [code_of[p] for p in starts if p in code_of]] = 1
         self.entry_matrix = entry
         # Proposition code table (dense labelling alphabets only): packed
         # atom valuation -> universe position.

@@ -263,6 +263,10 @@ class PropositionLabeler:
         self._cache_misses = 0
         self._cache_evictions = 0
         self._cache_enabled = True
+        # Key of the derivations memoised on traces.  Unlike ``id(self)``
+        # it cannot be reused while a trace's cache entry holds it, so a
+        # later labeler allocated at this address never reads our entries.
+        self.cache_token = object()
 
     @property
     def propositions(self) -> List[Proposition]:
@@ -287,7 +291,7 @@ class PropositionLabeler:
         compiled engine re-running a benchmark window — label it once.
         """
         cache_get = getattr(trace, "cache_get", None)
-        cache_key = ("label_indices", id(self))
+        cache_key = ("label_indices", self.cache_token)
         if cache_get is not None:
             cached = cache_get(cache_key)
             if cached is not None:
@@ -350,7 +354,7 @@ class PropositionLabeler:
         :class:`LabeledRuns` is treated as immutable by every consumer.
         """
         cache_get = getattr(trace, "cache_get", None)
-        cache_key = ("label_segments", id(self))
+        cache_key = ("label_segments", self.cache_token)
         if cache_get is not None:
             cached = cache_get(cache_key)
             if cached is not None:

@@ -33,11 +33,10 @@ from .mining import PropositionLabeler
 from .propositions import Proposition
 from .psm import PSM, ConstantPower, PowerState
 from .temporal import (
-    ChoiceAssertion,
     NextAssertion,
-    SequenceAssertion,
     TemporalAssertion,
     UntilAssertion,
+    entry_index,
 )
 
 #: Tracker verdicts for one simulation instant.
@@ -49,24 +48,17 @@ VIOLATION = "violation"
 class _AlternativeTracker:
     """Progress through one simple/sequence assertion."""
 
-    def __init__(self, assertion: TemporalAssertion) -> None:
-        if isinstance(assertion, SequenceAssertion):
-            self.parts: Tuple[TemporalAssertion, ...] = assertion.parts
-        else:
-            self.parts = (assertion,)
+    __slots__ = ("assertion", "parts", "index")
+
+    def __init__(
+        self,
+        assertion: TemporalAssertion,
+        parts: Tuple[TemporalAssertion, ...],
+        index: int,
+    ) -> None:
         self.assertion = assertion
-        self.index = 0
-
-    def can_enter(self, prop: Proposition) -> bool:
-        """True when the first instant of the assertion may be ``prop``."""
-        return self.parts[0].first_proposition() == prop
-
-    def enter(self, prop: Proposition) -> bool:
-        """Consume the entry instant."""
-        if not self.can_enter(prop):
-            return False
-        self.index = 0
-        return True
+        self.parts = parts
+        self.index = index
 
     def advance(self, prop: Optional[Proposition]) -> str:
         """Consume one further instant; returns STAY / EXIT / VIOLATION."""
@@ -102,35 +94,23 @@ class StateTracker:
 
     A choice assertion may have several alternatives compatible with the
     observed propositions; all are tracked, violated ones are dropped, and
-    the state exits when no alternative can stay but one exits.
+    the state exits when no alternative can stay but one exits.  Entry
+    reads the assertion's :class:`~repro.core.temporal.EntryIndex`, so
+    only the alternatives the observed proposition can start are built.
     """
 
     def __init__(self, state: PowerState) -> None:
         self.state = state
-        if isinstance(state.assertion, ChoiceAssertion):
-            alternatives = state.assertion.alternatives()
-        else:
-            alternatives = (state.assertion,)
-        self._alternatives = alternatives
+        self._index = entry_index(state.assertion)
         self._active: List[_AlternativeTracker] = []
 
     def can_enter(self, prop: Optional[Proposition]) -> bool:
         """True when the state's assertion may start with ``prop``."""
-        if prop is None:
-            return False
-        return any(
-            _AlternativeTracker(alt).can_enter(prop)
-            for alt in self._alternatives
-        )
+        return prop is not None and prop in self._index.starts
 
     def enter(self, prop: Proposition) -> bool:
         """Begin tracking at the entry instant."""
-        self._active = []
-        for alt in self._alternatives:
-            tracker = _AlternativeTracker(alt)
-            if tracker.enter(prop):
-                self._active.append(tracker)
-        return bool(self._active)
+        return self._begin(self._index.starts.get(prop, ()))
 
     def can_enter_anywhere(self, prop: Optional[Proposition]) -> bool:
         """True when ``prop`` matches any internal part boundary.
@@ -139,24 +119,20 @@ class StateTracker:
         the middle of its cascade when the simulation lost track of where
         the IP is.
         """
-        if prop is None:
-            return False
-        for alt in self._alternatives:
-            for part in _AlternativeTracker(alt).parts:
-                if part.first_proposition() == prop:
-                    return True
-        return False
+        return prop is not None and prop in self._index.boundaries
 
     def enter_anywhere(self, prop: Proposition) -> bool:
         """Begin tracking at whichever part boundary matches ``prop``."""
-        self._active = []
-        for alt in self._alternatives:
-            tracker = _AlternativeTracker(alt)
-            for index, part in enumerate(tracker.parts):
-                if part.first_proposition() == prop:
-                    tracker.index = index
-                    self._active.append(tracker)
-                    break
+        return self._begin(self._index.boundaries.get(prop, ()))
+
+    def _begin(self, pairs: Sequence[Tuple[int, int]]) -> bool:
+        """Track the ``(alternative, part)`` positions of ``pairs``."""
+        alternatives = self._index.alternatives
+        parts = self._index.parts
+        self._active = [
+            _AlternativeTracker(alternatives[alt], parts[alt], index)
+            for alt, index in pairs
+        ]
         return bool(self._active)
 
     def stable_on(self, prop: Optional[Proposition]) -> bool:

@@ -16,7 +16,7 @@ The optimisation procedures introduce two composite forms:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .propositions import Proposition, PropositionTrace
 
@@ -201,7 +201,7 @@ class ChoiceAssertion(TemporalAssertion):
     observation matrix ``B`` (Sec. V).
     """
 
-    __slots__ = ("parts", "_alternatives")
+    __slots__ = ("parts", "_alternatives", "_entry_index")
 
     def __init__(self, parts: Sequence[TemporalAssertion]) -> None:
         flattened: List[TemporalAssertion] = []
@@ -214,6 +214,7 @@ class ChoiceAssertion(TemporalAssertion):
             raise ValueError("a choice assertion needs at least two parts")
         self.parts: Tuple[TemporalAssertion, ...] = tuple(flattened)
         self._alternatives: Optional[Tuple[TemporalAssertion, ...]] = None
+        self._entry_index: Optional[EntryIndex] = None
 
     def alternatives(self) -> Tuple[TemporalAssertion, ...]:
         """Distinct member assertions, preserving first-seen order.
@@ -225,6 +226,17 @@ class ChoiceAssertion(TemporalAssertion):
         if self._alternatives is None:
             self._alternatives = tuple(dict.fromkeys(self.parts))
         return self._alternatives
+
+    def entry_index(self) -> "EntryIndex":
+        """The alternatives indexed by the propositions that start them.
+
+        Memoised next to :meth:`alternatives`: a tracker entering the
+        state looks up the observed proposition instead of scanning every
+        alternative of a wide joined choice.
+        """
+        if self._entry_index is None:
+            self._entry_index = EntryIndex(self.alternatives())
+        return self._entry_index
 
     def multiplicity(self, assertion: TemporalAssertion) -> int:
         """How many merged states carried ``assertion``."""
@@ -273,6 +285,57 @@ class ChoiceAssertion(TemporalAssertion):
 
     def __repr__(self) -> str:
         return f"ChoiceAssertion({list(self.parts)!r})"
+
+
+class EntryIndex:
+    """Where a state's alternatives can start, keyed by proposition.
+
+    ``alternatives`` are a state's distinct simple/sequence assertions
+    (one for a plain state) and ``parts`` their part cascades.
+    ``starts[p]`` lists, in alternative order, the ``(alternative, 0)``
+    pairs whose first part starts with ``p``; ``boundaries[p]`` lists,
+    per alternative, the first ``(alternative, part)`` boundary whose
+    part starts with ``p`` (resynchronising into a cascade).  Positions
+    index ``alternatives``; propositions that start nothing are absent.
+    """
+
+    __slots__ = ("alternatives", "parts", "starts", "boundaries")
+
+    def __init__(self, alternatives: Sequence[TemporalAssertion]) -> None:
+        self.alternatives: Tuple[TemporalAssertion, ...] = tuple(alternatives)
+        self.parts = tuple(
+            alt.parts if isinstance(alt, SequenceAssertion) else (alt,)
+            for alt in self.alternatives
+        )
+        starts: Dict[Proposition, List[Tuple[int, int]]] = {}
+        boundaries: Dict[Proposition, List[Tuple[int, int]]] = {}
+        for position, parts in enumerate(self.parts):
+            starts.setdefault(parts[0].first_proposition(), []).append(
+                (position, 0)
+            )
+            seen = set()
+            for index, part in enumerate(parts):
+                prop = part.first_proposition()
+                if prop not in seen:
+                    seen.add(prop)
+                    boundaries.setdefault(prop, []).append((position, index))
+        self.starts: Dict[Proposition, Tuple[Tuple[int, int], ...]] = {
+            prop: tuple(pairs) for prop, pairs in starts.items()
+        }
+        self.boundaries: Dict[Proposition, Tuple[Tuple[int, int], ...]] = {
+            prop: tuple(pairs) for prop, pairs in boundaries.items()
+        }
+
+
+def entry_index(assertion: TemporalAssertion) -> EntryIndex:
+    """The :class:`EntryIndex` of a state's assertion.
+
+    Memoised on choice assertions; a plain or sequence assertion has a
+    single alternative and is indexed afresh.
+    """
+    if isinstance(assertion, ChoiceAssertion):
+        return assertion.entry_index()
+    return EntryIndex((assertion,))
 
 
 def base_assertions(assertion: TemporalAssertion) -> Tuple[TemporalAssertion, ...]:

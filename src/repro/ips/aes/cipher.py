@@ -14,7 +14,17 @@ from __future__ import annotations
 
 from typing import List
 
-from .tables import INV_SBOX, RCON, SBOX, gf_mul
+from .tables import (
+    INV_SBOX,
+    MUL_2,
+    MUL_3,
+    MUL_9,
+    MUL_11,
+    MUL_13,
+    MUL_14,
+    RCON,
+    SBOX,
+)
 
 #: Number of rounds for AES-128.
 NUM_ROUNDS = 10
@@ -29,10 +39,7 @@ def block_to_state(block: int) -> State:
 
 def state_to_block(state: State) -> int:
     """16-byte state -> 128-bit integer."""
-    value = 0
-    for byte in state:
-        value = (value << 8) | byte
-    return value
+    return int.from_bytes(bytes(state), "big")
 
 
 # ----------------------------------------------------------------------
@@ -69,32 +76,24 @@ def inv_shift_rows(state: State) -> State:
 def mix_columns(state: State) -> State:
     """MixColumns: each column multiplied by the fixed polynomial."""
     out = [0] * 16
-    for col in range(4):
-        a = state[col * 4 : col * 4 + 4]
-        out[col * 4 + 0] = gf_mul(a[0], 2) ^ gf_mul(a[1], 3) ^ a[2] ^ a[3]
-        out[col * 4 + 1] = a[0] ^ gf_mul(a[1], 2) ^ gf_mul(a[2], 3) ^ a[3]
-        out[col * 4 + 2] = a[0] ^ a[1] ^ gf_mul(a[2], 2) ^ gf_mul(a[3], 3)
-        out[col * 4 + 3] = gf_mul(a[0], 3) ^ a[1] ^ a[2] ^ gf_mul(a[3], 2)
+    for col in range(0, 16, 4):
+        a0, a1, a2, a3 = state[col : col + 4]
+        out[col + 0] = MUL_2[a0] ^ MUL_3[a1] ^ a2 ^ a3
+        out[col + 1] = a0 ^ MUL_2[a1] ^ MUL_3[a2] ^ a3
+        out[col + 2] = a0 ^ a1 ^ MUL_2[a2] ^ MUL_3[a3]
+        out[col + 3] = MUL_3[a0] ^ a1 ^ a2 ^ MUL_2[a3]
     return out
 
 
 def inv_mix_columns(state: State) -> State:
     """InvMixColumns."""
     out = [0] * 16
-    for col in range(4):
-        a = state[col * 4 : col * 4 + 4]
-        out[col * 4 + 0] = (
-            gf_mul(a[0], 14) ^ gf_mul(a[1], 11) ^ gf_mul(a[2], 13) ^ gf_mul(a[3], 9)
-        )
-        out[col * 4 + 1] = (
-            gf_mul(a[0], 9) ^ gf_mul(a[1], 14) ^ gf_mul(a[2], 11) ^ gf_mul(a[3], 13)
-        )
-        out[col * 4 + 2] = (
-            gf_mul(a[0], 13) ^ gf_mul(a[1], 9) ^ gf_mul(a[2], 14) ^ gf_mul(a[3], 11)
-        )
-        out[col * 4 + 3] = (
-            gf_mul(a[0], 11) ^ gf_mul(a[1], 13) ^ gf_mul(a[2], 9) ^ gf_mul(a[3], 14)
-        )
+    for col in range(0, 16, 4):
+        a0, a1, a2, a3 = state[col : col + 4]
+        out[col + 0] = MUL_14[a0] ^ MUL_11[a1] ^ MUL_13[a2] ^ MUL_9[a3]
+        out[col + 1] = MUL_9[a0] ^ MUL_14[a1] ^ MUL_11[a2] ^ MUL_13[a3]
+        out[col + 2] = MUL_13[a0] ^ MUL_9[a1] ^ MUL_14[a2] ^ MUL_11[a3]
+        out[col + 3] = MUL_11[a0] ^ MUL_13[a1] ^ MUL_9[a2] ^ MUL_14[a3]
     return out
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping
 
 from ...hdl.module import Module
-from ...hdl.signal import hamming, popcount_int
+from ...hdl.signal import hamming
 from ...traces.variables import bool_in, bool_out, int_in, int_out
 from .cipher import (
     NUM_ROUNDS,
@@ -169,15 +169,16 @@ class Aes(Module):
                         mixed, self._round_keys[key_index]
                     )
                     stages = (subbed, mixed, new_state)
-                glitches = 0
-                stage_in = previous
-                for stage_out in stages:
-                    for a, b in zip(stage_in, stage_out):
-                        glitches += popcount_int(a ^ b)
-                    stage_in = stage_out
+                # Byte-wise toggles between consecutive stages: one
+                # popcount of each packed XOR counts the same bits.
+                blocks = [state_to_block(previous)]
+                blocks += [state_to_block(stage) for stage in stages]
+                glitches = sum(
+                    (a ^ b).bit_count() for a, b in zip(blocks, blocks[1:])
+                )
                 self.add_activity("sbox_network", 0.2 * glitches)
                 self._state_bytes = new_state
-                self._state.load(state_to_block(self._state_bytes))
+                self._state.load(blocks[-1])
                 self._round_key.load(self._key_ints[key_index])
                 self._counter.load(round_index)
                 if round_index == NUM_ROUNDS:

@@ -79,5 +79,18 @@ def _build_sbox() -> Tuple[List[int], List[int]]:
 #: Forward and inverse S-boxes.
 SBOX, INV_SBOX = _build_sbox()
 
+def _product_table(constant: int) -> List[int]:
+    """``gf_mul(x, constant)`` for every byte ``x``."""
+    return [gf_mul(x, constant) for x in range(256)]
+
+
+#: MixColumns / InvMixColumns products: ``MUL_k[x] == gf_mul(x, k)``.
+MUL_2 = _product_table(2)
+MUL_3 = _product_table(3)
+MUL_9 = _product_table(9)
+MUL_11 = _product_table(11)
+MUL_13 = _product_table(13)
+MUL_14 = _product_table(14)
+
 #: Round constants for the key expansion (Rcon[1..10]).
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]

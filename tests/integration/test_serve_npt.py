@@ -58,6 +58,7 @@ class ServerHandle:
         ).result(30)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(30)
+        self.loop.close()
 
     @property
     def port(self):
