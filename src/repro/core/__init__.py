@@ -63,7 +63,6 @@ from .psm import (
     PowerState,
     RegressionPower,
     Transition,
-    clone_psm,
     find_state,
     next_state_id,
     reset_state_ids,
@@ -177,7 +176,6 @@ __all__ = [
     "MANDATORY_STAGES",
     "OPTIONAL_STAGES",
     "build_stages",
-    "clone_psm",
     # export
     "to_dot",
     "to_systemc",

@@ -65,22 +65,22 @@ def _generate_psm_scan(
 def _generate_psm_rle(
     proposition_trace: PropositionTrace,
     power_trace: PowerTrace,
-    psm: PSM,
+    name: str,
 ) -> PSM:
     """RLE fast path: boundary arithmetic + vectorized attributes.
 
     The mined patterns are runs ``0 .. K-2`` of the RLE view (see
     :func:`~repro.core.xu.mine_patterns_rle`); their power attributes
-    come from one vectorized :func:`segment_attributes` pass, and the
-    transition enabling the scan oracle reads off the automaton FIFO
-    (the previous pattern's exit proposition) is simply the next run's
-    own proposition.
+    come from one vectorized :func:`segment_attributes` pass, and
+    :meth:`PSM.chain` guards each transition with the previous pattern's
+    exit proposition — the next run's own proposition, which the scan
+    oracle reads off the automaton FIFO.
     """
     trace_id = proposition_trace.trace_id
     starts, lengths, codes = proposition_trace.rle()
     count = len(starts) - 1
     if count < 1:
-        return psm
+        return PSM(name)
     alphabet = proposition_trace.alphabet
     mu, sigma = segment_attributes(
         power_trace.values, starts[:count], lengths[:count]
@@ -91,7 +91,7 @@ def _generate_psm_rle(
     length_list = lengths.tolist()
     code_list = codes.tolist()
     cache: dict = {}
-    previous: Optional[PowerState] = None
+    states: List[PowerState] = []
     for k in range(count):
         body, follower = code_list[k], code_list[k + 1]
         length = length_list[k]
@@ -104,21 +104,16 @@ def _generate_psm_rle(
                 alphabet[body], alphabet[follower]
             )
         start = start_list[k]
-        state = PowerState(
-            assertion=assertion,
-            attributes=PowerAttributes(
-                mu=mu_list[k], sigma=sigma_list[k], n=length
-            ),
-            intervals=[Interval(trace_id, start, start + length - 1)],
-        )
-        psm.add_state(state, initial=previous is None)
-        if previous is not None:
-            # previous.assertion.exit_proposition() == alphabet[body]
-            psm.add_transition(
-                Transition(previous.sid, state.sid, alphabet[body])
+        states.append(
+            PowerState(
+                assertion=assertion,
+                attributes=PowerAttributes(
+                    mu=mu_list[k], sigma=sigma_list[k], n=length
+                ),
+                intervals=[Interval(trace_id, start, start + length - 1)],
             )
-        previous = state
-    return psm
+        )
+    return PSM.chain(states, name)
 
 
 def generate_psm(
@@ -140,11 +135,11 @@ def generate_psm(
             "power trace is shorter than the proposition trace "
             f"({len(power_trace)} < {len(proposition_trace)})"
         )
-    psm = PSM(name or f"psm_t{proposition_trace.trace_id}")
+    name = name or f"psm_t{proposition_trace.trace_id}"
     if engine == "rle":
-        return _generate_psm_rle(proposition_trace, power_trace, psm)
+        return _generate_psm_rle(proposition_trace, power_trace, name)
     if engine == "scan":
-        return _generate_psm_scan(proposition_trace, power_trace, psm)
+        return _generate_psm_scan(proposition_trace, power_trace, PSM(name))
     raise ValueError(f"unknown engine {engine!r}; use 'rle' or 'scan'")
 
 

@@ -34,7 +34,7 @@ from .hmm import PsmHmm
 from .mergeability import MergePolicy
 from .metrics import mae, mre, rmse
 from .mining import MinerConfig, MiningResult, PropositionLabeler
-from .psm import PSM, clone_psm, total_states, total_transitions
+from .psm import PSM, total_states, total_transitions
 from .regression import RefinePolicy
 from .simulation import EstimationResult, MultiPsmSimulator
 from .stages import (
@@ -361,16 +361,6 @@ class PsmFlow:
             labeler=self.mining.labeler,
         )
         return self
-
-    @staticmethod
-    def _copy_psm(psm: PSM) -> PSM:
-        """Structural copy so the raw PSM set survives optimisation.
-
-        Kept as a backward-compatible alias of
-        :func:`repro.core.psm.clone_psm`, which the generation stage now
-        uses to build the working set.
-        """
-        return clone_psm(psm)
 
     # ------------------------------------------------------------------
     def simulator(self) -> MultiPsmSimulator:

@@ -10,8 +10,6 @@ producing the power consumption of each state.
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -203,6 +201,40 @@ class PSM:
             self._by_dst.setdefault(transition.dst, []).append(transition)
         return transition
 
+    @classmethod
+    def chain(cls, states: Sequence[PowerState], name: str = "psm") -> "PSM":
+        """The chain over ``states``: the first is initial, and each one is
+        left for the next through its assertion's exit proposition.
+
+        The transitions are laid down in one pass: a chain has one per
+        source state, so there are no duplicates to filter edge by edge.
+        """
+        psm = cls(name=name)
+        for index, state in enumerate(states):
+            psm.add_state(state, initial=index == 0)
+        transitions = [
+            Transition(prev.sid, nxt.sid, prev.assertion.exit_proposition())
+            for prev, nxt in zip(states, states[1:])
+        ]
+        psm._set_transitions(transitions, set(transitions))
+        return psm
+
+    def copy(self) -> "PSM":
+        """A new PSM sharing this one's states (the containers are new)."""
+        duplicate = PSM(name=self.name)
+        duplicate._states = dict(self._states)
+        duplicate._initial = list(self._initial)
+        duplicate._set_transitions(
+            list(self._transitions), set(self._transition_set)
+        )
+        return duplicate
+
+    def put_state(self, state: PowerState) -> None:
+        """Swap in ``state`` for the state with its id, keeping order."""
+        if state.sid not in self._states:
+            raise ValueError(f"unknown state {state.sid}")
+        self._states[state.sid] = state
+
     def mark_initial(self, sid: int) -> None:
         """Add a state to the initial set ``S0``."""
         if sid not in self._states:
@@ -254,10 +286,9 @@ class PSM:
 
     def is_chain(self) -> bool:
         """True for the generator's output shape: a linear chain."""
-        for sid in self._states:
-            if len(self.successors(sid)) > 1 or len(self.predecessors(sid)) > 1:
-                return False
-        return True
+        return all(len(out) <= 1 for out in self._by_src.values()) and all(
+            len(into) <= 1 for into in self._by_dst.values()
+        )
 
     def is_deterministic(self) -> bool:
         """False when some state has two transitions with equal guards
@@ -362,36 +393,6 @@ class PSM:
             f"PSM({self.name!r}, states={len(self)}, "
             f"transitions={len(self._transitions)})"
         )
-
-
-def clone_psm(psm: PSM) -> PSM:
-    """Structural deep copy of a PSM (keeping the global state ids).
-
-    The optimisation stages rewrite the working PSM set — ``simplify`` /
-    ``join`` replace states, and the regression refinement swaps state
-    output functions — while the raw set must stay inspectable.  Each
-    state is therefore duplicated together with everything a later stage
-    could touch: a fresh ``PowerAttributes`` instance, a fresh interval
-    list and a fresh ``power_model`` object, so no mutable slot is
-    aliased between the copy and the source.  Assertions are shared:
-    they are immutable (the stages always build new ones).
-    """
-    duplicate = PSM(name=psm.name)
-    initials = {s.sid for s in psm.initial_states}
-    for state in psm.states:
-        duplicate.add_state(
-            PowerState(
-                assertion=state.assertion,
-                attributes=dataclasses.replace(state.attributes),
-                intervals=list(state.intervals),
-                sid=state.sid,
-                power_model=copy.copy(state.power_model),
-            ),
-            initial=state.sid in initials,
-        )
-    for transition in psm.transitions:
-        duplicate.add_transition(transition)
-    return duplicate
 
 
 def total_states(psms: Sequence[PSM]) -> int:

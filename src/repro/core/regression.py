@@ -12,8 +12,9 @@ an accurate regression.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -125,27 +126,23 @@ def refine_state(
     power_traces: Mapping[int, PowerTrace],
     policy: RefinePolicy,
     hamming_cache: dict,
-) -> bool:
-    """Install a regression model on one state if the gate passes.
-
-    Returns True when the state became data-dependent.
-    """
+) -> Optional[RegressionPower]:
+    """The regression model for one state, or None if the gate fails."""
     sample = collect_samples(
         state, functional_traces, power_traces, hamming_cache
     )
     x = sample.distances
     if len(x) < policy.min_samples or np.std(x) == 0.0:
-        return False
+        return None
     if np.std(sample.powers) == 0.0:
-        return False
+        return None
     model = fit_regression(sample)
     if model.correlation < policy.corr_threshold or model.slope <= 0:
         # Dynamic power is monotone non-decreasing in switching activity:
         # an anti-correlated fit is an artifact of a degenerate training
         # phase and would extrapolate nonsense.
-        return False
-    state.power_model = model
-    return True
+        return None
+    return model
 
 
 def assertion_body(state: PowerState):
@@ -176,15 +173,15 @@ def _refine_pooled(
     groups: dict = {}
     for psm in psms:
         for state in psm.states:
-            groups.setdefault(assertion_body(state), []).append(state)
+            groups.setdefault(assertion_body(state), []).append((psm, state))
     refined = 0
-    for states in groups.values():
-        unrefined = [s for s in states if not s.is_data_dependent]
-        if len(states) < 2 or not unrefined:
+    for members in groups.values():
+        unrefined = [m for m in members if not m[1].is_data_dependent]
+        if len(members) < 2 or not unrefined:
             continue
         samples = [
             collect_samples(s, functional_traces, power_traces, hamming_cache)
-            for s in states
+            for _, s in members
         ]
         x = np.concatenate([s.distances for s in samples])
         y = np.concatenate([s.powers for s in samples])
@@ -196,8 +193,8 @@ def _refine_pooled(
         model = fit_regression(RegressionSample(x, y))
         if model.correlation < policy.corr_threshold or model.slope <= 0:
             continue
-        for state in unrefined:
-            state.power_model = model
+        for psm, state in unrefined:
+            psm.put_state(dataclasses.replace(state, power_model=model))
             refined += 1
     return refined
 
@@ -211,9 +208,10 @@ def refine_data_dependent(
     """Refine every candidate state of a PSM set.
 
     Runs the per-state pass of the paper first, then (when
-    ``policy.pool_same_body``) the joint same-body pass.  Returns the
-    number of states whose constant output was replaced by a regression
-    model.
+    ``policy.pool_same_body``) the joint same-body pass.  Each re-modelled
+    state is replaced in its PSM by a copy carrying the regression model:
+    the state itself may be shared with another PSM set (the raw chains)
+    and is never written.  Returns the number of states re-modelled.
     """
     refined = 0
     hamming_cache: dict = {}
@@ -221,9 +219,11 @@ def refine_data_dependent(
         for state in psm.states:
             if not policy.is_candidate(state):
                 continue
-            if refine_state(
+            model = refine_state(
                 state, functional_traces, power_traces, policy, hamming_cache
-            ):
+            )
+            if model is not None:
+                psm.put_state(dataclasses.replace(state, power_model=model))
                 refined += 1
     if policy.pool_same_body:
         refined += _refine_pooled(

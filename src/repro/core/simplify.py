@@ -22,7 +22,7 @@ from typing import List, Mapping, Optional, Sequence
 from ..traces.power import PowerTrace
 from .attributes import Interval, PowerAttributes
 from .mergeability import MergePolicy
-from .psm import PSM, PowerState, Transition
+from .psm import PSM, PowerState
 from .temporal import SequenceAssertion
 
 
@@ -83,18 +83,6 @@ def chain_states(psm: PSM) -> List[PowerState]:
     return order
 
 
-def rebuild_chain(states: Sequence[PowerState], name: str) -> PSM:
-    """A chain PSM over ``states`` with exit-proposition transitions."""
-    psm = PSM(name=name)
-    for index, state in enumerate(states):
-        psm.add_state(state, initial=index == 0)
-    for prev, nxt in zip(states, states[1:]):
-        psm.add_transition(
-            Transition(prev.sid, nxt.sid, prev.assertion.exit_proposition())
-        )
-    return psm
-
-
 def simplify(
     psm: PSM,
     power_traces: Mapping[int, PowerTrace],
@@ -118,9 +106,7 @@ def simplify(
             second = result.pop()
             first = result.pop()
             result.append(merge_adjacent(first, second, power_traces))
-    merged = rebuild_chain(result, psm.name)
-    merged.validate()
-    return merged
+    return PSM.chain(result, psm.name)
 
 
 def simplify_all(

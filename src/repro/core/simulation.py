@@ -228,7 +228,7 @@ class EstimationResult:
             ),
         }
         if include_trace:
-            payload["estimated"] = [float(x) for x in self.estimated.values]
+            payload["estimated"] = self.estimated.values.tolist()
         return payload
 
     @property

@@ -19,7 +19,6 @@ from ..join import join as join_psms
 from ..mining import AssertionMiner, MiningResult
 from ..psm import (
     PSM,
-    clone_psm,
     ensure_state_ids_above,
     total_states,
     total_transitions,
@@ -98,8 +97,9 @@ class MiningStage(Stage):
 class GenerationStage(Stage):
     """Phase 2 — PSMGenerator: one chain PSM per training trace.
 
-    Publishes both the untouched raw set and a structural deep copy as
-    the working set the optimisation stages may rewrite.
+    Publishes the raw set and, as the working set, a new list over the
+    same PSMs: simplify and join build new PSMs, and the refine stage
+    writes only into PSM copies it owns, so the raw set stays intact.
     """
 
     name = "generate"
@@ -117,14 +117,14 @@ class GenerationStage(Stage):
     @staticmethod
     def _publish(ctx: PipelineContext, raw: List[PSM]) -> None:
         ctx.store.put(RAW_PSMS, raw)
-        ctx.store.put(WORKING_PSMS, [clone_psm(p) for p in raw])
+        ctx.store.put(WORKING_PSMS, list(raw))
 
     def save_checkpoint(self, ctx: PipelineContext) -> None:
         """Write the raw chain PSMs to ``generate.json``."""
         self._write_json(ctx, psms_to_json(ctx.store.get(RAW_PSMS)))
 
     def load_checkpoint(self, ctx: PipelineContext) -> Dict[str, int]:
-        """Restore the raw PSMs (and a fresh working copy) from JSON."""
+        """Restore the raw PSMs (and the working set over them) from JSON."""
         raw = psms_from_json(self._read_json(ctx))
         ensure_state_ids_above(raw)
         self._publish(ctx, raw)
@@ -183,7 +183,9 @@ class JoinStage(_PsmRewriteStage):
 
 
 class RefineStage(_PsmRewriteStage):
-    """Phase 4 — data-dependent regression refinement (in place)."""
+    """Phase 4 — data-dependent regression refinement, run on shallow
+    copies of the working PSMs: regression swaps states inside the PSMs
+    it gets, and the raw set may share them (no simplify or join)."""
 
     name = "refine"
     requires = (WORKING_PSMS, FUNCTIONAL_TRACES, POWER_TRACES)
@@ -191,13 +193,14 @@ class RefineStage(_PsmRewriteStage):
 
     def run(self, ctx: PipelineContext) -> Dict[str, int]:
         """Install regression output functions on data-dependent states."""
-        psms = ctx.store.get(WORKING_PSMS)
+        psms = [psm.copy() for psm in ctx.store.get(WORKING_PSMS)]
         refined = refine_data_dependent(
             psms,
             ctx.store.get(FUNCTIONAL_TRACES),
             ctx.store.get(POWER_TRACES),
             ctx.config.refine,
         )
+        ctx.store.put(WORKING_PSMS, psms)
         ctx.store.put(N_REFINED, refined)
         counters = _psm_counters(psms)
         counters["refined_states"] = refined

@@ -26,7 +26,6 @@ from .core.join import join
 from .core.mining import AssertionMiner
 from .core.generator import generate_psms
 from .core.propositions import PropositionTrace
-from .core.psm import clone_psm
 from .core.simplify import simplify_all
 from .core.simulation import SinglePsmSimulator
 from .testbench import BENCHMARKS
@@ -113,23 +112,19 @@ def micro_rows(
     long_power = PowerTrace(np.resize(train_power.values, cycles))
     long_power_map = {0: long_power}
 
-    simplified = simplify_all(
-        [clone_psm(p) for p in flow.raw_psms], power_map, config.merge
-    )
+    simplified = simplify_all(flow.raw_psms, power_map, config.merge)
     long_raw = generate_psms([long_gamma], [long_power])
-    long_simplified = simplify_all(
-        [clone_psm(p) for p in long_raw], long_power_map, config.merge
-    )
+    long_simplified = simplify_all(long_raw, long_power_map, config.merge)
     single = SinglePsmSimulator(flow.raw_psms[0], labeler)
 
     timings = {
         "mine": lambda: AssertionMiner(config.miner).mine(train_trace),
         "generate": lambda: generate_psms([long_gamma], [long_power]),
         "simplify": lambda: simplify_all(
-            [clone_psm(p) for p in flow.raw_psms], power_map, config.merge
+            flow.raw_psms, power_map, config.merge
         ),
-        # join does not mutate its inputs, so the timed call runs on the
-        # precomputed simplified set directly (no per-call deep clone).
+        # simplify and join do not mutate their inputs, so the timed
+        # calls run on the precomputed PSM sets directly.
         "join": lambda: join(
             long_simplified, long_power_map, config.merge
         ),

@@ -76,11 +76,15 @@ class _Job:
 
 
 def _decode_payload(payload: Tuple[str, object]):
-    """One job's trace: JSON rebuild or zero-copy ``.npt`` view."""
+    """One job's trace (JSON rebuild or zero-copy ``.npt`` view), or the
+    exception decoding it raised: that request's error, not the batch's."""
     kind, data = payload
-    if kind == "npt":
-        return BinaryTraceReader.from_bytes(data).view_functional()
-    return functional_trace_from_json(data)
+    try:
+        if kind == "npt":
+            return BinaryTraceReader.from_bytes(data).view_functional()
+        return functional_trace_from_json(data)
+    except Exception as exc:
+        return exc
 
 
 def simulate_one(entry_or_simulator, trace_json: dict, engine: str = "auto") -> dict:
@@ -107,7 +111,7 @@ def _execute_batch(
     simulator: MultiPsmSimulator,
     payloads: List[Tuple[str, object]],
     engine: str,
-) -> List[dict]:
+) -> List[object]:
     """Run one coalesced batch; the shared body of both execution modes.
 
     On the compiled engine the whole batch goes through one kernel
@@ -115,9 +119,13 @@ def _execute_batch(
     integer-coded up front, then walked back-to-back, so each table
     edge resolved for one request is reused by all the others.  Each
     payload reports its amortised share of the batch kernel wall time
-    as ``sim_seconds`` plus the whole-batch figure.
+    as ``sim_seconds`` plus the whole-batch figure.  A payload that
+    fails to decode gets its exception in its slot; the rest still run.
     """
-    traces = [_decode_payload(payload) for payload in payloads]
+    decoded = [_decode_payload(payload) for payload in payloads]
+    traces = [t for t in decoded if not isinstance(t, Exception)]
+    if not traces:
+        return decoded
     start = time.perf_counter()
     if engine == "object":
         results = []
@@ -141,14 +149,15 @@ def _execute_batch(
         payload["batch_sim_seconds"] = batch_wall
         payload["engine"] = "object" if engine == "object" else "compiled"
         out.append(payload)
-    return out
+    served = iter(out)
+    return [t if isinstance(t, Exception) else next(served) for t in decoded]
 
 
 def _simulate_batch_inline(
     entry: ModelEntry,
     payloads: List[Tuple[str, object]],
     engine: str = "auto",
-) -> List[dict]:
+) -> List[object]:
     """Thread-mode batch body: reuse the registry's cached simulator."""
     return _execute_batch(entry.simulator, payloads, engine)
 
@@ -165,7 +174,7 @@ def _simulate_batch_worker(
     version: str,
     payloads: List[Tuple[str, object]],
     engine: str = "auto",
-) -> List[dict]:
+) -> List[object]:
     """Process-mode batch body: load-and-cache the bundle, then simulate.
 
     Workers rebuild the simulator from the bundle *file* (nothing heavy
@@ -438,6 +447,10 @@ class MicroBatcher:
         previous = self._batch_ewma.get(model, wall)
         self._batch_ewma[model] = 0.7 * previous + 0.3 * wall
         for job, payload in zip(batch, results):
+            if isinstance(payload, Exception):  # this job's input failed
+                if not job.future.done():
+                    job.future.set_exception(payload)
+                continue
             payload["batch_size"] = len(batch)
             # The bundle this batch actually ran: a hot swap may have
             # reloaded the model since the request was queued.

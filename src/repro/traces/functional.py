@@ -27,8 +27,10 @@ class FunctionalTrace:
         Ordered variable specifications.
     columns:
         Optional mapping ``name -> sequence of values``; all columns must
-        share the same length.  When omitted an empty trace is created and
-        rows can be appended with :meth:`append`.
+        share the same length and every value must fit its variable's
+        width (checked as in :meth:`extend_columns`).  When omitted an
+        empty trace is created and rows can be appended with
+        :meth:`append`.
     name:
         Optional label (used in reports and serialised files).
     """
@@ -55,11 +57,7 @@ class FunctionalTrace:
             missing = [v.name for v in variables if v.name not in columns]
             if missing:
                 raise ValueError(f"missing columns for variables: {missing}")
-            lengths = {len(columns[v.name]) for v in variables}
-            if len(lengths) > 1:
-                raise ValueError("all columns must have the same length")
-            for var in variables:
-                self._columns[var.name] = [int(x) for x in columns[var.name]]
+            self.extend_columns(columns)
 
     # ------------------------------------------------------------------
     # construction
@@ -156,23 +154,6 @@ class FunctionalTrace:
         return ints
 
     @classmethod
-    def from_arrays(
-        cls,
-        variables: Sequence[VariableSpec],
-        columns: Mapping[str, Sequence],
-        name: str = "trace",
-    ) -> "FunctionalTrace":
-        """Build a trace from whole columns with vectorised validation.
-
-        The bulk counterpart of the row-oriented constructor: equivalent
-        to ``FunctionalTrace(variables, columns, name)`` but without a
-        Python-level ``int()``/``validate_value`` call per cell.
-        """
-        trace = cls(variables, name=name)
-        trace.extend_columns(columns)
-        return trace
-
-    @classmethod
     def from_checked_columns(
         cls,
         variables: Sequence[VariableSpec],
@@ -263,7 +244,8 @@ class FunctionalTrace:
         """A copy of the trace restricted to instants ``[start, stop]``.
 
         Both bounds are inclusive, matching the interval convention used by
-        the paper's power attributes.
+        the paper's power attributes.  The sliced columns were validated
+        when they entered this trace, so they are adopted unchecked.
         """
         if start < 0 or stop >= len(self) or start > stop:
             raise IndexError(f"bad interval [{start}, {stop}] for len {len(self)}")
@@ -271,7 +253,7 @@ class FunctionalTrace:
             v.name: self._columns[v.name][start : stop + 1]
             for v in self._variables
         }
-        return FunctionalTrace(
+        return FunctionalTrace.from_checked_columns(
             self._variables, cols, name=f"{self.name}[{start}:{stop}]"
         )
 

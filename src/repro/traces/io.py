@@ -518,9 +518,7 @@ class BinaryTraceReader:
             v.name: self.column_values(v.name, start, count)
             for v in self.variables
         }
-        return FunctionalTrace.from_arrays(
-            self.variables, columns, name=self.name
-        )
+        return FunctionalTrace(self.variables, columns, name=self.name)
 
     def view_functional(self) -> ArrayTrace:
         """Zero-copy :class:`ArrayTrace` view of the whole container.

@@ -12,6 +12,7 @@ with ``C`` the total switched capacitance, ``Vdd`` the supply voltage,
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,13 +66,17 @@ class PowerTrace:
         ``n = stop - start + 1`` is the number of instants, ``mu`` the mean
         of the power values in the interval and ``sigma`` their (population)
         standard deviation, exactly as used by ``getPowerAttributes`` in the
-        paper's Fig. 4 procedure.
+        paper's Fig. 4 procedure.  Both come from one pairwise
+        ``np.add.reduce`` each — the operations ``np.mean``/``np.std``
+        perform, in the same order, so the values are bit-equal — without
+        their per-call dispatch.
         """
         seg = self.segment(start, stop)
         n = stop - start + 1
-        mu = float(np.mean(seg))
-        sigma = float(np.std(seg))
-        return mu, sigma, n
+        mu = np.add.reduce(seg) / n
+        deviations = seg - mu
+        sigma = math.sqrt(np.add.reduce(deviations * deviations) / n)
+        return float(mu), sigma, n
 
     def mean(self) -> float:
         """Mean power over the whole trace."""

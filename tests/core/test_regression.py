@@ -113,8 +113,12 @@ class TestRefineDataDependent:
             RefinePolicy(cv_threshold=0.05, min_samples=8, pool_same_body=False),
         )
         assert refined == 1
-        assert isinstance(state.power_model, RegressionPower)
-        assert state.power_model.slope == pytest.approx(0.01, rel=0.2)
+        # the PSM now holds a re-modelled copy; the state itself is kept
+        installed = psm.state(state.sid)
+        assert isinstance(installed.power_model, RegressionPower)
+        assert installed.power_model.slope == pytest.approx(0.01, rel=0.2)
+        assert installed.attributes == state.attributes
+        assert isinstance(state.power_model, ConstantPower)
 
     def test_uncorrelated_state_stays_constant(self):
         rng = np.random.default_rng(1)
@@ -179,7 +183,9 @@ class TestPooledSameBody:
             [psm], {0: trace}, {0: power},
             RefinePolicy(cv_threshold=0.05, min_samples=8, pool_same_body=True),
         )
-        assert isinstance(poor.power_model, RegressionPower)
+        assert isinstance(psm.state(poor.sid).power_model, RegressionPower)
+        assert [s.sid for s in psm.states] == [rich.sid, poor.sid]
+        assert isinstance(poor.power_model, ConstantPower)
 
     def test_bodies_of_composite_assertions(self):
         p = props(4)

@@ -383,7 +383,7 @@ class TestCheckpointResume:
 
 
 # ----------------------------------------------------------------------
-# raw-PSM isolation (the working set is a structural deep copy)
+# raw-PSM isolation (the working set shares states; regression copies)
 # ----------------------------------------------------------------------
 class TestRawPsmIsolation:
     def test_refinement_leaves_raw_set_constant(self):
@@ -402,19 +402,20 @@ class TestRawPsmIsolation:
                 assert isinstance(state.power_model, ConstantPower)
                 assert state.power_model.value == state.attributes.mu
 
-    def test_raw_and_working_share_no_mutable_objects(self):
-        trace, power = world(PATTERN)
-        flow = PsmFlow(config(stages=())).fit([trace], [power])
-        raw = {id(s.attributes) for p in flow.raw_psms for s in p.states}
-        work = {id(s.attributes) for p in flow.psms for s in p.states}
-        assert not raw & work
-        raw_models = {
-            id(s.power_model) for p in flow.raw_psms for s in p.states
-        }
-        work_models = {
-            id(s.power_model) for p in flow.psms for s in p.states
-        }
-        assert not raw_models & work_models
+    @pytest.mark.parametrize("stages", [("refine",), None])
+    def test_raw_set_exports_unchanged(self, stages):
+        trace, power = data_world()
+        reset_state_ids()
+        untouched = PsmFlow(config(stages=())).fit([trace], [power])
+        expected = psms_to_json(untouched.raw_psms)
+        reset_state_ids()
+        flow = PsmFlow(config(stages=stages)).fit([trace], [power])
+        # regression fired on the working set, which shares the raw
+        # states it did not re-model ...
+        assert flow.report.n_refined_states > 0
+        assert psms_to_json(flow.psms) != expected
+        # ... and the raw set still exports exactly as generated
+        assert psms_to_json(flow.raw_psms) == expected
 
 
 # ----------------------------------------------------------------------

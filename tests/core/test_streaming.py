@@ -51,7 +51,7 @@ def synthetic_trace(n, seed, name="synthetic"):
     mode = np.repeat(rng.integers(0, 3, n // 9 + 1), 9)[:n]
     cnt = rng.integers(0, 12, n)
     lvl = rng.integers(0, 12, n)
-    return FunctionalTrace.from_arrays(
+    return FunctionalTrace(
         specs,
         {"en": en, "mode": mode, "cnt": cnt, "lvl": lvl},
         name=name,
@@ -400,7 +400,7 @@ def drifting_pair(n=400, switch=200):
     specs = [bool_in("en"), int_in("mode", 4)]
     en = np.ones(n, dtype=np.int64)
     mode = np.where(np.arange(n) < switch, 1, 6)
-    trace = FunctionalTrace.from_arrays(specs, {"en": en, "mode": mode})
+    trace = FunctionalTrace(specs, {"en": en, "mode": mode})
     power = np.where(np.arange(n) < switch, 1.0, 9.0) + np.tile(
         [0.0, 0.01], n // 2
     )

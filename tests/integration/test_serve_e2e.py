@@ -245,6 +245,31 @@ class TestServeEndToEnd:
             status, _h, _b = get(port, "/nope")
             assert status == 404
 
+    def test_out_of_range_values_answer_400(self, serving_dir):
+        import json
+
+        root, windows = serving_dir
+        name = MODELS[0]
+        window = windows[name][0]
+        spec = window["variables"][0]
+        with ServerHandle(root) as handle:
+            for bad in (2 ** spec["width"], -5):
+                column = list(window["columns"][spec["name"]])
+                column[1] = bad
+                trace = {
+                    **window,
+                    "columns": {**window["columns"], spec["name"]: column},
+                }
+                status, _h, raw = post_estimate(
+                    handle.port, {"model": name, "trace": trace}
+                )
+                assert status == 400
+                assert "out of range" in json.loads(raw)["error"]
+            status, _h, _b = post_estimate(
+                handle.port, {"model": name, "trace": window}
+            )
+            assert status == 200
+
     def test_vectors_input_resolved_from_bundle_variables(self, serving_dir):
         root, windows = serving_dir
         name = MODELS[0]

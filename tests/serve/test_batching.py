@@ -175,6 +175,31 @@ class TestErrors:
 
         run(scenario())
 
+    def test_bad_window_fails_only_its_own_job(self, registry):
+        good = make_window(5)
+        bad = make_window(6)
+        del bad["columns"]["start"]
+        expected = simulate_one(registry.get("fig2"), good)
+
+        async def scenario():
+            batcher = make_batcher(registry)
+            batcher._ensure_drainer = lambda *args: None
+            tasks = [
+                asyncio.create_task(batcher.submit("fig2", window))
+                for window in (good, bad)
+            ]
+            await asyncio.sleep(0)  # both jobs land in one batch
+            assert await batcher.drain_once("fig2") == 2
+            results = await asyncio.gather(*tasks, return_exceptions=True)
+            await batcher.aclose()
+            return results
+
+        served, failed = run(scenario())
+        assert served["estimated"] == expected["estimated"]
+        assert served["batch_size"] == 2
+        assert isinstance(failed, ValueError)
+        assert "missing columns for variables: ['start']" in str(failed)
+
     def test_close_fails_pending_jobs(self, registry):
         async def scenario():
             batcher = make_batcher(registry)

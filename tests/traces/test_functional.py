@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.traces.functional import FunctionalTrace, popcount
+from repro.traces.io import functional_trace_from_json, functional_trace_to_json
 from repro.traces.variables import bool_in, int_in, int_out
 
 
@@ -42,6 +43,34 @@ class TestConstruction:
 
     def test_empty_trace_allowed(self, specs):
         assert len(FunctionalTrace(specs)) == 0
+
+    @pytest.mark.parametrize("bad", [99, 16, -5, 2**70])
+    def test_out_of_range_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="out of range for bus"):
+            FunctionalTrace([int_in("bus", 4)], {"bus": [1, bad, 2]})
+
+    def test_out_of_range_wide_value_rejected(self):
+        with pytest.raises(ValueError, match="out of range for key"):
+            FunctionalTrace([int_in("key", 128)], {"key": [1, 2**128]})
+
+    def test_json_trace_is_range_checked(self):
+        document = functional_trace_to_json(
+            FunctionalTrace([int_in("bus", 4)], {"bus": [1, 2, 3]})
+        )
+        assert functional_trace_from_json(document).column("bus").tolist() == [
+            1, 2, 3,
+        ]
+        for bad in (99, -5):
+            document["columns"]["bus"] = [1, bad, 3]
+            with pytest.raises(ValueError, match="out of range"):
+                functional_trace_from_json(document)
+
+    def test_columns_store_python_ints(self, specs):
+        values = FunctionalTrace(
+            specs, {"en": [True], "data": [np.int64(7)], "q": ["5"]}
+        ).at(0)
+        assert values == {"en": 1, "data": 7, "q": 5}
+        assert all(type(v) is int for v in values.values())
 
     def test_length(self, trace):
         assert len(trace) == 3
@@ -183,6 +212,13 @@ class TestSliceConcat:
         part = trace.slice(1, 2)
         assert len(part) == 2
         assert part.at(0)["data"] == 5
+
+    def test_slice_columns_are_independent_of_the_source(self, trace):
+        part = trace.slice(0, 1)
+        assert part.column("data").tolist() == [0, 5]
+        part.append({"en": 1, "data": 9, "q": 9})
+        assert len(trace) == 3
+        assert trace.column("data").tolist() == [0, 5, 7]
 
     def test_slice_bad_interval(self, trace):
         with pytest.raises(IndexError):
